@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/harness"
-	"repro/internal/ingest"
 	"repro/internal/metrics"
 	"repro/internal/sketch"
 	"repro/internal/stream"
@@ -148,7 +147,7 @@ var batchContenders = []struct {
 	{"CM_fast", sketch.Spec{MemoryBytes: 1 << 20, Seed: 1}},
 	{"CU_fast", sketch.Spec{MemoryBytes: 1 << 20, Seed: 1}},
 	{"Ours_sharded4", sketch.Spec{MemoryBytes: 1 << 20, Lambda: 25, Seed: 1, Shards: 4}},
-	{"Ours_sharded8", pipelineBenchSpec},
+	{"Ours_sharded8", sketch.Spec{MemoryBytes: 1 << 20, Lambda: 25, Seed: 1, Shards: 8}},
 	{"SS_fallback", sketch.Spec{MemoryBytes: 1 << 20, Seed: 1}},
 }
 
@@ -197,59 +196,6 @@ func BenchmarkInsertBatch(b *testing.B) {
 				}
 				sketch.InsertBatch(sk, s.Items[lo:hi])
 				inserted += hi - lo
-			}
-		})
-	}
-}
-
-// pipelineBenchSpec is the sharded core sketch both sides of the ingest
-// acceptance comparison run on: BenchmarkInsertBatch/Ours_sharded8 is the
-// single-writer baseline, BenchmarkPipelineIngest the async plane over the
-// same Spec.
-var pipelineBenchSpec = sketch.Spec{MemoryBytes: 1 << 20, Lambda: 25, Seed: 1, Shards: 8}
-
-// BenchmarkPipelineIngest measures the ingest plane end to end — submit,
-// per-worker delta accumulation, fold — at 1, 4, and 8 workers on the
-// sharded core sketch. Per-op time is per item, so items/sec compares
-// directly against BenchmarkInsertBatch/Ours_sharded8 (the single-writer
-// baseline): the acceptance bar is ≥ 3× at 8 workers. CI records both in
-// the BENCH_ingest.json artifact.
-func BenchmarkPipelineIngest(b *testing.B) {
-	s := benchStream()
-	const chunk = 4096 // the same ingestion quantum BenchmarkInsertBatch uses
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("Ours_sharded8/workers=%d", workers), func(b *testing.B) {
-			// A big flush quantum amortizes the merge walk (a fold visits
-			// the whole delta regardless of item count), keeping the
-			// per-item overhead low enough that throughput scales with
-			// workers instead of drowning in folds.
-			a, err := ingest.NewAsyncIngester("Ours", pipelineBenchSpec, ingest.Tuning{
-				Workers:    workers,
-				Queue:      128,
-				FlushItems: 1 << 17,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer a.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var source uint64
-			for inserted := 0; inserted < b.N; {
-				lo := inserted % len(s.Items)
-				hi := lo + chunk
-				if hi > len(s.Items) {
-					hi = len(s.Items)
-				}
-				if rem := b.N - inserted; hi-lo > rem {
-					hi = lo + rem
-				}
-				source++
-				a.Submit(ingest.Batch{Items: s.Items[lo:hi], Source: source})
-				inserted += hi - lo
-			}
-			if err := a.Drain(); err != nil {
-				b.Fatal(err)
 			}
 		})
 	}

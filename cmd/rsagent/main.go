@@ -25,11 +25,6 @@
 // replayed as -window+1 simulated epochs of that length, and -query answers
 // over the sliding window of the last -window sealed epochs. Against an
 // epoch-mode collector, -window n issues a network window query too.
-//
-// With -ingest-workers N > 0, the shadow ingests through the async ingest
-// plane: a cumulative shadow becomes an ingest.AsyncIngester, an epoch-ring
-// shadow is fed through a ring pipeline with epoch-tagged batches (each
-// simulated epoch's deltas fold into their own window).
 package main
 
 import (
@@ -38,11 +33,9 @@ import (
 	"log"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/epoch"
-	"repro/internal/ingest"
 	"repro/internal/netsum"
 	"repro/internal/query"
 	"repro/internal/sketch"
@@ -73,31 +66,23 @@ func parseKeys(csv string) ([]uint64, error) {
 
 func main() {
 	var (
-		collector  = flag.String("collector", "127.0.0.1:7777", "collector address (empty = offline, shadow sketch only)")
-		id         = flag.Uint64("id", 1, "agent identity")
-		trace      = flag.String("trace", "", "binary trace file to replay")
-		queryCSV   = flag.String("query", "", "key, or comma-separated key batch, to query after replay")
-		batch      = flag.Int("batch", 512, "updates per network frame")
-		algo       = flag.String("algo", "", "registry variant for a local shadow sketch (empty = none)")
-		lambda     = flag.Uint64("lambda", 25, "shadow sketch error tolerance Λ")
-		mem        = flag.Int("mem", 1<<20, "shadow sketch memory (bytes)")
-		seed       = flag.Uint64("seed", 1, "shadow sketch hash seed")
-		ep         = flag.Duration("epoch", 0, "simulated epoch length for the shadow sketch (0 = cumulative)")
-		window     = flag.Int("window", 0, "sliding-window size in epochs for -query (0 = cumulative)")
-		ingWorkers = flag.Int("ingest-workers", 0, "async ingest pipeline workers for the shadow sketch (0 = synchronous)")
-		ingQueue   = flag.Int("ingest-queue", 0, "per-worker ingest queue depth in batches (0 = default)")
-		ingPolicy  = flag.String("ingest-policy", "block", "backpressure when ingest queues fill: block or drop")
+		collector = flag.String("collector", "127.0.0.1:7777", "collector address (empty = offline, shadow sketch only)")
+		id        = flag.Uint64("id", 1, "agent identity")
+		trace     = flag.String("trace", "", "binary trace file to replay")
+		queryCSV  = flag.String("query", "", "key, or comma-separated key batch, to query after replay")
+		batch     = flag.Int("batch", 512, "updates per network frame")
+		algo      = flag.String("algo", "", "registry variant for a local shadow sketch (empty = none)")
+		lambda    = flag.Uint64("lambda", 25, "shadow sketch error tolerance Λ")
+		mem       = flag.Int("mem", 1<<20, "shadow sketch memory (bytes)")
+		seed      = flag.Uint64("seed", 1, "shadow sketch hash seed")
+		ep        = flag.Duration("epoch", 0, "simulated epoch length for the shadow sketch (0 = cumulative)")
+		window    = flag.Int("window", 0, "sliding-window size in epochs for -query (0 = cumulative)")
 	)
 	flag.Parse()
 
-	policy, err := ingest.ParsePolicy(*ingPolicy)
-	if err != nil {
-		log.Fatalf("rsagent: %v", err)
-	}
 	if *batch < 1 {
 		log.Fatalf("rsagent: -batch must be ≥ 1, got %d", *batch)
 	}
-	tuning := ingest.Tuning{Workers: *ingWorkers, Queue: *ingQueue, Policy: policy}
 
 	queryKeys, err := parseKeys(*queryCSV)
 	if err != nil {
@@ -106,9 +91,7 @@ func main() {
 
 	spec := sketch.Spec{Lambda: *lambda, MemoryBytes: *mem, Seed: *seed}
 	var shadow sketch.Sketch
-	var async *ingest.AsyncIngester
 	var ring *epoch.Ring
-	var ringPipe *ingest.Pipeline
 	advanceEpoch := func() {}
 	if *algo != "" {
 		entry, ok := sketch.Lookup(*algo)
@@ -122,26 +105,10 @@ func main() {
 			}
 			// Replay has no timestamps; simulate capacity+1 equal epochs so
 			// the requested window is fully populated with sealed traffic.
-			// The clock is atomic: with -ingest-workers the ring janitor
-			// goroutine reads it concurrently with the replay's advances.
-			var simNanos atomic.Int64
+			var simNow time.Time
 			ring = epoch.NewRing(entry.Factory(spec), *mem, *ep, capacity,
-				func() time.Time { return time.Unix(0, simNanos.Load()) })
-			advanceEpoch = func() { simNanos.Add(int64(*ep)) }
-			if *ingWorkers > 0 {
-				var err error
-				ringPipe, err = ingest.ForRing(ring, func() sketch.Sketch { return entry.Build(spec) }, tuning)
-				if err != nil {
-					log.Fatalf("rsagent: %v", err)
-				}
-			}
-		} else if *ingWorkers > 0 {
-			var err error
-			async, err = ingest.NewAsyncIngester(*algo, spec, tuning)
-			if err != nil {
-				log.Fatalf("rsagent: %v", err)
-			}
-			shadow = async
+				func() time.Time { return simNow })
+			advanceEpoch = func() { simNow = simNow.Add(*ep) }
 		} else {
 			shadow = entry.Build(spec)
 		}
@@ -183,25 +150,9 @@ func main() {
 		}
 		if shadow != nil {
 			localStart := time.Now()
-			if async != nil {
-				// Feed the pipeline in wire-sized batches so the workers
-				// actually parallelize, then drain for read-your-writes.
-				for lo := 0; lo < s.Len(); lo += *batch {
-					hi := min(lo+*batch, s.Len())
-					async.Submit(ingest.Batch{Items: s.Items[lo:hi]})
-				}
-				if err := async.Drain(); err != nil {
-					log.Fatalf("rsagent: shadow pipeline: %v", err)
-				}
-				ist := async.Stats()
-				fmt.Printf("shadow %s ingested via %d-worker pipeline in %v (%dB, %d folds, %d dropped)\n",
-					shadow.Name(), *ingWorkers, time.Since(localStart).Round(time.Millisecond),
-					shadow.MemoryBytes(), ist.Folds, ist.Dropped)
-			} else {
-				sketch.InsertBatch(shadow, s.Items)
-				fmt.Printf("shadow %s ingested locally in %v (%dB)\n",
-					shadow.Name(), time.Since(localStart).Round(time.Millisecond), shadow.MemoryBytes())
-			}
+			sketch.InsertBatch(shadow, s.Items)
+			fmt.Printf("shadow %s ingested locally in %v (%dB)\n",
+				shadow.Name(), time.Since(localStart).Round(time.Millisecond), shadow.MemoryBytes())
 		}
 		if ring != nil {
 			localStart := time.Now()
@@ -213,26 +164,11 @@ func main() {
 				if hi > s.Len() {
 					hi = s.Len()
 				}
-				if ringPipe != nil {
-					// Epoch-tagged batches: the workers fold before crossing
-					// a tag boundary, so no delta straddles a simulated
-					// epoch. After the clock advances, the read path below
-					// drains the pipeline (folding this epoch's tail into
-					// the still-active window) and then seals it — the
-					// replay-time equivalent of a reader observing the
-					// boundary.
-					ringPipe.Submit(ingest.Batch{Items: s.Items[lo:hi], Epoch: uint64(fed + 1)})
-					advanceEpoch()
-					ring.Rotations()
-				} else {
-					ring.InsertBatch(s.Items[lo:hi])
-					advanceEpoch()
-				}
+				ring.InsertBatch(s.Items[lo:hi])
+				advanceEpoch()
 				fed++
 			}
-			if ringPipe == nil {
-				ring.Insert(0, 0) // seal the final simulated epoch
-			}
+			ring.Insert(0, 0) // seal the final simulated epoch
 			fmt.Printf("shadow %s ingested %d simulated epochs in %v (%dB, %d sealed)\n",
 				ring.Name(), fed, time.Since(localStart).Round(time.Millisecond),
 				ring.MemoryBytes(), ring.Sealed())
@@ -263,18 +199,12 @@ func main() {
 			}
 		}
 		if shadow != nil {
-			queryShadow := shadow
-			if async != nil {
-				// Drained above (and no writers remain), so reading the
-				// wrapped sketch directly recovers its certified interface.
-				queryShadow = async.Target()
-			}
 			est := make([]uint64, len(queryKeys))
 			var mpe []uint64
-			if _, ok := queryShadow.(sketch.ErrorBounded); ok {
+			if _, ok := shadow.(sketch.ErrorBounded); ok {
 				mpe = make([]uint64, len(queryKeys))
 			}
-			sketch.QueryBatch(queryShadow, queryKeys, est, mpe)
+			sketch.QueryBatch(shadow, queryKeys, est, mpe)
 			for i, k := range queryKeys {
 				if mpe != nil {
 					fmt.Printf("  key %d: local shadow estimate=%d, interval [%d, %d]\n",

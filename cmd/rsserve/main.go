@@ -29,10 +29,16 @@
 // -cache-swr serves expired live answers while one background flight
 // refreshes them (stale-while-revalidate).
 //
-// Writes flow through the async ingest plane: -ingest-workers pipeline
-// workers accumulate private delta sketches and fold them into the served
-// sketch one short lock per flush; -ingest-policy picks what a full
-// -ingest-queue does (block producers, or drop and report it in the Ack).
+// Standalone writes are applied synchronously: an Ack means the batch is
+// in the served sketch (and, with -wal-dir, on disk), so the next query
+// covers it. In collector mode, agent batches flow through the collector's
+// ingest pipeline: -ingest-workers workers land them per agent and fold
+// private deltas into the merged view; -ingest-policy picks what a full
+// -ingest-queue does (block agents, or drop and count it). Those three
+// flags are collector-only.
+//
+// SIGINT and SIGTERM shut down gracefully: in-flight requests finish (for
+// a bounded time), then the final checkpoint is written.
 //
 // Cluster mode scales horizontally: N replicas each run with the same
 // -peers list and their own URL as -self, exchanging sealed deltas so any
@@ -44,6 +50,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -53,6 +60,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/cluster"
@@ -86,6 +94,7 @@ type serveFlags struct {
 	ingWorkers int
 	ingQueue   int
 	ingPolicy  string
+	ingestSet  bool // any -ingest-* flag given explicitly
 	walDir     string
 	walFsync   string
 	walSegSize int64
@@ -95,6 +104,16 @@ type serveFlags struct {
 	replEvery  time.Duration
 	vnodes     int
 }
+
+// HTTP server limits. readHeaderTimeout bounds a slow client's request
+// head (the Slowloris defence), idleTimeout reaps parked keep-alive
+// connections, and shutdownGrace bounds how long a signal waits for
+// in-flight requests before the final checkpoint.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 10 * time.Second
+)
 
 // Named validation errors: scripts wrapping rsserve can match on the text
 // stem, and tests pin each rejected combination to its reason.
@@ -111,7 +130,8 @@ var (
 	errCheckpointEveryNoPath = errors.New("rsserve: -checkpoint-every needs -checkpoint (an interval with nowhere to write)")
 	errShardsWithCollector   = errors.New("rsserve: -shards is standalone-only (collector agents shard by construction, one sketch per agent)")
 	errNegativeShards        = errors.New("rsserve: -shards must be ≥ 0")
-	errNegativeIngestWorkers = errors.New("rsserve: -ingest-workers must be ≥ 0 (0 = synchronous standalone ingest)")
+	errIngestNeedsCollector  = errors.New("rsserve: -ingest-workers/-ingest-queue/-ingest-policy are collector-only (standalone ingest is synchronous: an ack means applied)")
+	errNegativeIngestWorkers = errors.New("rsserve: -ingest-workers must be ≥ 0 (0 = default)")
 	errBadIngestQueue        = errors.New("rsserve: -ingest-queue must be ≥ 0 (0 = default)")
 	errWALWithEpoch          = errors.New("rsserve: -wal-dir is cumulative-mode only (replaying a log into an epoch ring would resurrect expired traffic)")
 	errWALWithDrop           = errors.New("rsserve: -wal-dir requires -ingest-policy block (drop could refuse a durable batch live, then resurrect it on replay)")
@@ -154,6 +174,8 @@ func (f serveFlags) validate() error {
 		return errNegativeShards
 	case f.shards > 0 && f.collector != "":
 		return errShardsWithCollector
+	case f.ingestSet && f.collector == "":
+		return errIngestNeedsCollector
 	case f.ingWorkers < 0:
 		return errNegativeIngestWorkers
 	case f.ingQueue < 0:
@@ -242,9 +264,9 @@ func main() {
 		maxBatch   = flag.Int("max-batch", query.MaxBatchKeys, "largest /v2/query key batch this server accepts")
 		ckpt       = flag.String("checkpoint", "", "checkpoint file path (warm-restarts from it when present)")
 		ckptEvery  = flag.Duration("checkpoint-every", 0, "periodic checkpoint interval (0 = only on demand and shutdown)")
-		ingWorkers = flag.Int("ingest-workers", ingest.DefaultWorkers, "async ingest pipeline workers (standalone: 0 = synchronous ingest)")
-		ingQueue   = flag.Int("ingest-queue", ingest.DefaultQueue, "per-worker ingest queue depth (batches)")
-		ingPolicy  = flag.String("ingest-policy", "block", "backpressure when ingest queues fill: block or drop")
+		ingWorkers = flag.Int("ingest-workers", ingest.DefaultWorkers, "collector mode: ingest pipeline workers (0 = default)")
+		ingQueue   = flag.Int("ingest-queue", ingest.DefaultQueue, "collector mode: per-worker ingest queue depth (batches)")
+		ingPolicy  = flag.String("ingest-policy", "block", "collector mode: backpressure when ingest queues fill: block or drop")
 		walDir     = flag.String("wal-dir", "", "write-ahead-log directory: acked writes survive a crash and replay on restart (cumulative mode)")
 		walFsync   = flag.String("wal-fsync", "batch", "WAL durability: batch (fsync every append), a group-commit interval like 5ms, or off")
 		walSegSize = flag.Int64("wal-segment-size", wal.DefaultSegmentBytes, "WAL segment rotation threshold (bytes)")
@@ -257,6 +279,13 @@ func main() {
 		vnodes     = flag.Int("vnodes", 0, "virtual nodes per replica on the consistent-hash ring (0 = default)")
 	)
 	flag.Parse()
+	ingestSet := false
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "ingest-workers", "ingest-queue", "ingest-policy":
+			ingestSet = true
+		}
+	})
 
 	if err := (serveFlags{
 		window:     *window,
@@ -274,6 +303,7 @@ func main() {
 		ingWorkers: *ingWorkers,
 		ingQueue:   *ingQueue,
 		ingPolicy:  *ingPolicy,
+		ingestSet:  ingestSet,
 		walDir:     *walDir,
 		walFsync:   *walFsync,
 		walSegSize: *walSegSize,
@@ -285,9 +315,6 @@ func main() {
 	}).validate(); err != nil {
 		log.Fatal(err)
 	}
-	policy, _ := ingest.ParsePolicy(*ingPolicy) // validated above
-	tuning := ingest.Tuning{Workers: *ingWorkers, Queue: *ingQueue, Policy: policy}
-
 	spec := sketch.Spec{Lambda: *lambda, MemoryBytes: *mem, Seed: *seed, Shards: *shards}
 	cfg := queryd.Config{
 		CacheCapacity:   *cacheSize,
@@ -348,6 +375,8 @@ func main() {
 		// sketch actually built.
 		spec.Emergency = true
 		cfg.Spec = spec
+		policy, _ := ingest.ParsePolicy(*ingPolicy) // validated above
+		tuning := ingest.Tuning{Workers: *ingWorkers, Queue: *ingQueue, Policy: policy}
 		// NewCollector replays the WAL tail past the checkpoint's cut
 		// before accepting connections, so replayed and live batches never
 		// interleave.
@@ -372,15 +401,10 @@ func main() {
 		backend = queryd.CollectorBackend{C: col, Algo: *algo}
 		mode = fmt.Sprintf("collector on %s", col.Addr())
 	} else {
-		bcfg := queryd.SketchBackendConfig{Algo: *algo, Spec: spec, Epoch: *ep, Windows: *window}
-		if *ingWorkers > 0 {
-			bcfg.Ingest = &tuning
-		}
-		b, err := queryd.NewSketchBackendFrom(bcfg)
+		b, err := queryd.NewSketchBackend(*algo, spec, *ep, *window, nil)
 		if err != nil {
 			log.Fatalf("rsserve: %v", err)
 		}
-		defer b.Close()
 		if err := maybeRestore(*ckpt, *algo, spec, b.Restore); err != nil {
 			log.Fatalf("rsserve: %v", err)
 		}
@@ -395,9 +419,6 @@ func main() {
 		mode = "standalone"
 		if *ep > 0 {
 			mode = fmt.Sprintf("standalone, sliding window (epoch=%v, window=%d)", *ep, *window)
-		}
-		if *ingWorkers > 0 {
-			mode += fmt.Sprintf(", ingest %d workers/%s", *ingWorkers, policy)
 		}
 		if *self != "" {
 			// Replica mode wraps the local backend: ingest stays local, but
@@ -437,7 +458,12 @@ func main() {
 		}()
 		fmt.Printf("pprof on http://%s/debug/pprof/\n", *pprofAddr)
 	}
-	srv := &http.Server{Addr: *listen, Handler: s.Handler()}
+	srv := &http.Server{
+		Addr:              *listen,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatalf("rsserve: %v", err)
@@ -447,10 +473,18 @@ func main() {
 		*listen, *algo, mode, *mem, *cacheSize, *cacheTTL, *cachePol)
 
 	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	fmt.Println("\nshutting down")
-	srv.Close()
+	// Let in-flight requests finish, so every write acked before the final
+	// checkpoint is in it; a client still busy after the grace period is
+	// cut off rather than holding the shutdown hostage.
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	if err := srv.Shutdown(ctx); err != nil {
+		log.Printf("rsserve: shutdown: %v", err)
+		srv.Close()
+	}
+	cancel()
 	if err := s.Close(); err != nil {
 		log.Printf("rsserve: final checkpoint: %v", err)
 	}

@@ -237,10 +237,10 @@ func (rt *Router) query(p int, sub query.Request) (query.Answer, subVerdict) {
 }
 
 // Ingest partitions the batch by owner and routes each part to its owner's
-// /v2/ingest. The summed Ack preserves the pipeline's policy semantics: a
-// replica's own drop policy shows up in Dropped, and an unreachable or
-// refusing owner drops its whole part — the router never acks items it
-// could not hand to their owner.
+// /v2/ingest. The summed Ack preserves each replica's verdict: items a
+// replica refused (a failed WAL append) show up in Dropped, and an
+// unreachable or refusing owner drops its whole part — the router never
+// acks items it could not hand to their owner.
 func (rt *Router) Ingest(b ingest.Batch) ingest.Ack {
 	parts := make([][]stream.Item, len(rt.peers))
 	for _, it := range b.Items {

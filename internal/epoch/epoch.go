@@ -47,31 +47,6 @@ type Ring struct {
 	active  sketch.Sketch
 	started time.Time
 
-	// startedNanos mirrors started (unix nanos) so read paths can check
-	// rotation dueness without taking mu.
-	startedNanos atomic.Int64
-
-	// flushers are ingest-pipeline drain hooks (AttachFlusher) run from
-	// read paths when rotation is overdue, BEFORE the seal: pending deltas
-	// submitted in the closing epoch fold into it, so sealed windows stay
-	// exact under async ingest. hasFlushers gates the check off the hot
-	// path; drainMu serializes concurrent readers — a late reader WAITS for
-	// the in-flight drain rather than skipping it, since sealing while
-	// another reader's drain is still folding would strand acked batches in
-	// the next window.
-	flushMu     sync.Mutex
-	flushers    []func()
-	hasFlushers atomic.Bool
-	drainMu     sync.Mutex
-
-	// drainedFor records which epoch start (startedNanos value) the last
-	// completed drain covered. With flushers attached, maybeRotate refuses
-	// to seal until a drain has completed for the CURRENT epoch start —
-	// closing the race where a reader checks overdue() just before the
-	// boundary, skips the drain, and would otherwise seal undrained
-	// pre-boundary deltas into the next window.
-	drainedFor atomic.Int64
-
 	// sealed is the immutable published history; every rotation installs a
 	// fresh sealedSet, so readers holding the old one keep a consistent view.
 	sealed atomic.Pointer[sealedSet]
@@ -109,10 +84,6 @@ func NewRing(f sketch.Factory, memBytes int, interval time.Duration, capacity in
 	}
 	r.active = f.New(memBytes)
 	r.started = clock()
-	r.startedNanos.Store(r.started.UnixNano())
-	// Deliberately not equal to startedNanos: the first epoch of a
-	// pipelined ring must be drained before it can seal, like every other.
-	r.drainedFor.Store(r.started.UnixNano() - 1)
 	r.sealed.Store(&sealedSet{})
 	return r
 }
@@ -120,24 +91,14 @@ func NewRing(f sketch.Factory, memBytes int, interval time.Duration, capacity in
 // Capacity returns the maximum number of retained sealed windows.
 func (r *Ring) Capacity() int { return r.capacity }
 
-// Interval returns the epoch length.
-func (r *Ring) Interval() time.Duration { return r.interval }
-
 // maybeRotate seals elapsed epochs. Callers hold r.mu. An idle gap yields
 // empty sealed windows — the sliding window genuinely slides — but at most
 // capacity+1 sketches are materialized per gap, since any older ones would
-// immediately fall off the ring. A ring with attached flushers only seals
-// after a drain completed for the current epoch start, so pipeline deltas
-// holding pre-boundary traffic can never be stranded behind a seal.
+// immediately fall off the ring.
 func (r *Ring) maybeRotate() {
 	now := r.clock()
 	gap := now.Sub(r.started)
 	if gap < r.interval {
-		return
-	}
-	if r.hasFlushers.Load() && r.drainedFor.Load() != r.startedNanos.Load() {
-		// Overdue but not yet drained (a reader raced the boundary): leave
-		// the window active; the next poke drains and then seals.
 		return
 	}
 	n := int(gap / r.interval)
@@ -149,7 +110,6 @@ func (r *Ring) maybeRotate() {
 		r.seal()
 	}
 	r.started = r.started.Add(r.interval * time.Duration(elapsed))
-	r.startedNanos.Store(r.started.UnixNano())
 }
 
 // seal publishes the active window as the newest sealed one and installs a
@@ -169,73 +129,12 @@ func (r *Ring) seal() {
 
 // poke opportunistically seals overdue epochs from the read path without
 // ever blocking on ingest: if a writer holds the lock, it will rotate
-// itself, and the reader proceeds against the current sealed set. With
-// attached flushers, an overdue rotation first drains the ingest pipelines
-// (no lock held — their folds need mu), so the closing epoch seals with
-// every delta submitted to it.
+// itself, and the reader proceeds against the current sealed set.
 func (r *Ring) poke() {
-	if r.hasFlushers.Load() && r.overdue() {
-		r.drainFlushers()
-	}
 	if r.mu.TryLock() {
 		r.maybeRotate()
 		r.mu.Unlock()
 	}
-}
-
-// overdue reports (lock-free, from the mirrored start time) whether the
-// active epoch has elapsed.
-func (r *Ring) overdue() bool {
-	return r.clock().Sub(time.Unix(0, r.startedNanos.Load())) >= r.interval
-}
-
-// drainFlushers runs every attached flusher. Concurrent readers serialize
-// on drainMu: each returns only once some complete drain finished after its
-// call began, so no caller can proceed to seal while another caller's drain
-// is still folding pre-boundary deltas. Never called with mu held: flushers
-// block on pipeline folds, which take mu through Fold.
-func (r *Ring) drainFlushers() {
-	r.drainMu.Lock()
-	defer r.drainMu.Unlock()
-	// Capture the epoch start the drain covers BEFORE folding: if a seal
-	// sneaks in mid-drain (it cannot, seals require drainedFor to match,
-	// but belt and suspenders), the stale stamp keeps the gate closed.
-	covers := r.startedNanos.Load()
-	r.flushMu.Lock()
-	fs := make([]func(), len(r.flushers))
-	copy(fs, r.flushers)
-	r.flushMu.Unlock()
-	for _, f := range fs {
-		f()
-	}
-	r.drainedFor.Store(covers)
-}
-
-// AttachFlusher registers an ingest-pipeline drain hook (typically
-// Pipeline.Drain via ForRing). Read paths call it before sealing an overdue
-// epoch, which is what keeps sealed windows exact when the ring is fed
-// through pipelines: every batch submitted before the epoch boundary folds
-// into the window that was active when it was submitted. A ring fed through
-// pipelines should be written only through them — direct Insert/InsertBatch
-// calls rotate without draining and can strand late deltas in the next
-// window.
-func (r *Ring) AttachFlusher(f func()) {
-	r.flushMu.Lock()
-	r.flushers = append(r.flushers, f)
-	r.flushMu.Unlock()
-	r.hasFlushers.Store(true)
-}
-
-// Fold merges a pipeline worker's delta into the active window under one
-// short lock hold — the ring's write surface of the ingest plane. Unlike
-// Insert/InsertBatch it does NOT rotate first: rotation of a pipelined ring
-// is driven by the read paths, which drain every attached pipeline before
-// sealing, so a drain's folds all land in the window that was active when
-// their items were submitted. Requires a Mergeable factory product.
-func (r *Ring) Fold(delta sketch.Sketch) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return sketch.Merge(r.active, delta)
 }
 
 // Insert adds value to key in the current epoch.
@@ -410,10 +309,9 @@ func (r *Ring) Generation() uint64 {
 }
 
 // PeekGeneration returns the already-published generation WITHOUT poking:
-// no rotation is driven and no attached pipeline is drained. Write paths
-// stamping Acks use it — a producer must never block on a full pipeline
-// drain just to label its acknowledgement; sealing is the read paths' and
-// the janitor's job.
+// no rotation is driven. Write paths stamping Acks and scrapes use it, so
+// labelling a write or reading a gauge never seals an epoch; sealing is the
+// insert and read paths' job.
 func (r *Ring) PeekGeneration() uint64 {
 	return r.sealed.Load().rotations
 }
@@ -442,11 +340,10 @@ func (r *Ring) TrackedWindow(n int) ([]sketch.KV, bool) {
 
 // RegisterMetrics exposes the ring's seal state on reg under the ring_*
 // namespace. Every sample derives from the already-published sealed set —
-// PeekGeneration semantics — so a scrape never pokes the ring, drives a
-// rotation, or drains an attached pipeline. An overdue-but-unsealed epoch
-// is therefore invisible to /metrics until a reader or the janitor seals
-// it; that staleness is the price of a scrape that cannot perturb the
-// data plane.
+// PeekGeneration semantics — so a scrape never pokes the ring or drives a
+// rotation. An overdue-but-unsealed epoch is therefore invisible to
+// /metrics until a writer or reader seals it; that staleness is the price
+// of a scrape that cannot perturb the data plane.
 func (r *Ring) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("ring_seals_total", "Epoch windows sealed over the ring's life.", nil, func() float64 {
 		return float64(r.sealed.Load().rotations)

@@ -1,23 +1,19 @@
 // Package ingest defines the one typed write-side contract every ingesting
 // surface of this repository feeds: a Batch names what is being written
-// (items, their producer, their epoch) and an Ack reports what happened to
-// it, mirroring what internal/query did for the read side.
+// (items, their producer, an optional epoch tag) and an Ack reports what
+// happened to it, mirroring what internal/query did for the read side.
+// queryd's /v1/insert and /v2/ingest endpoints, the WAL's records, and the
+// netsum collector's wire frames all speak it.
 //
-// The centerpiece is Pipeline, the async sharded writer plane: N workers
-// drain bounded queues of batches, each accumulating into a PRIVATE
-// same-Spec delta sketch, and fold the delta into the shared target under
-// one short lock per flush (on size, age, or epoch boundary) using the
-// sketch.Mergeable capability. Producers never touch the target's lock and
-// a slow sketch never stalls the wire: the queue absorbs bursts, and the
-// explicit backpressure policy (Block vs Drop) decides what happens when it
-// cannot. This is the delta-buffer-then-fold pattern production caches use
-// to keep writers off the read path, applied from wire frame to sketch.
-//
-// The same Batch/Ack pair flows end to end — sketch-level AsyncIngester,
-// epoch.Ring folding (ForRing), the netsum collector's shared pipeline, and
-// queryd's /v1/insert and /v2/ingest HTTP endpoints — so write-side
-// amortizations (per-worker hashing, one merge per flush instead of one
-// lock per frame) compose instead of being reinvented per layer.
+// Standalone serving applies batches synchronously (queryd.SketchBackend):
+// its Ack means "applied". Pipeline is the netsum collector's write plane:
+// N workers drain bounded queues of batches, land each one in its source
+// agent's sketch through the Apply hook (per-source order preserved), and
+// accumulate it into a PRIVATE same-Spec delta that is folded into the
+// collector's merged global view under one short lock per flush (on size or
+// age) using the sketch.Mergeable capability. The explicit backpressure
+// policy (Block vs Drop) decides what a full queue does, and Drain is the
+// read-your-writes barrier the collector's query paths take.
 package ingest
 
 import (
@@ -44,9 +40,8 @@ type Batch struct {
 	// preserves per-agent attribution; Source 0 spreads round-robin.
 	Source uint64
 	// Epoch optionally tags the batch with a producer-side epoch sequence
-	// number. A worker folds its pending delta before accumulating a batch
-	// whose tag differs from the delta's, so deltas never straddle a
-	// producer-declared epoch seal. 0 means untagged.
+	// number. It travels with the batch (the WAL records it) but does not
+	// steer where the batch lands. 0 means untagged.
 	Epoch uint64
 }
 
@@ -62,6 +57,13 @@ type Ack struct {
 	// target has no generations (cumulative sketches).
 	Generation uint64 `json:"generation"`
 }
+
+// ErrLostWrites marks a pipeline that lost acked items: a worker's fold or
+// apply failed, so the target's certified state no longer covers traffic
+// that producers were told was accepted. Drain, Err and Close wrap it once
+// a worker fails; serving edges map it to a hard 500, since no retry (here
+// or on another node) can restore the lost writes.
+var ErrLostWrites = errors.New("ingest: pipeline lost acked items")
 
 // Policy is the explicit backpressure decision for a full worker queue.
 type Policy uint8
@@ -114,9 +116,9 @@ const (
 	DefaultFlushAge = 50 * time.Millisecond
 )
 
-// Tuning is the operator-visible pipeline shape, the struct the daemons'
-// -ingest-workers/-ingest-queue/-ingest-policy flags fill. Zero fields take
-// the defaults above.
+// Tuning is the operator-visible pipeline shape, the struct the collector
+// daemons' -ingest-workers/-ingest-queue/-ingest-policy flags fill. Zero
+// fields take the defaults above.
 type Tuning struct {
 	// Workers is the number of writer goroutines (and private deltas).
 	Workers int
@@ -127,8 +129,7 @@ type Tuning struct {
 	// FlushItems folds a worker's delta once it holds this many items.
 	FlushItems int
 	// FlushAge folds a non-empty delta at least this often, so quiet
-	// sources still become visible. Deployments folding into an epoch ring
-	// should keep it well under the epoch interval.
+	// sources still become visible.
 	FlushAge time.Duration
 }
 
@@ -160,8 +161,7 @@ type Options struct {
 	// rebuilt otherwise.
 	NewDelta func() sketch.Sketch
 	// Fold folds a worker's delta into the shared target under the
-	// target's own short lock (sketch.Merge under a mutex, epoch.Ring.Fold,
-	// the collector's globalMu merge). It runs at most once per flush per
+	// target's own short lock (the collector's globalMu merge). It runs at most once per flush per
 	// worker — the only moment the pipeline touches shared write state.
 	// nil disables delta accumulation: the pipeline applies batches through
 	// Apply alone.
@@ -204,20 +204,19 @@ type qitem struct {
 
 // flushReason says why a worker folded its delta — each fold is attributed
 // to exactly one cause, so operators can tell a size-driven steady state
-// from age-driven trickle or epoch-seal churn.
+// from age-driven trickle or barrier churn.
 type flushReason uint8
 
 const (
 	flushSize    flushReason = iota // delta reached FlushItems
 	flushAge                        // FlushAge ticker fired on a non-empty delta
-	flushEpoch                      // batch epoch tag differed from the delta's
 	flushBarrier                    // Drain barrier forced visibility
 	flushClose                      // pipeline shutdown folded the remainder
 	numFlushReasons
 )
 
 // flushReasonNames are the `reason` label values, indexed by flushReason.
-var flushReasonNames = [numFlushReasons]string{"size", "age", "epoch", "barrier", "close"}
+var flushReasonNames = [numFlushReasons]string{"size", "age", "barrier", "close"}
 
 // Pipeline is the async sharded writer plane. Submit routes batches to
 // workers (by Source, so per-producer order is preserved); workers
@@ -252,11 +251,9 @@ type Pipeline struct {
 	failed atomic.Bool
 
 	// lifeMu makes Submit/Drain vs Close safe: Close excludes in-flight
-	// submissions before closing the queues. done is closed by Close, for
-	// helper goroutines (the ring janitor) to exit promptly.
+	// submissions before closing the queues.
 	lifeMu sync.RWMutex
 	closed bool
-	done   chan struct{}
 	wg     sync.WaitGroup
 }
 
@@ -266,7 +263,6 @@ type worker struct {
 	q       chan qitem
 	delta   sketch.Sketch
 	pending int
-	epoch   uint64
 }
 
 // New starts a pipeline. It panics when neither Apply nor Fold is
@@ -282,7 +278,6 @@ func New(opts Options) *Pipeline {
 	}
 	p := &Pipeline{
 		opts:        opts,
-		done:        make(chan struct{}),
 		foldSeconds: telemetry.NewHistogram(telemetry.LatencyBuckets()),
 	}
 	p.workers = make([]*worker, opts.Workers)
@@ -299,11 +294,6 @@ func New(opts Options) *Pipeline {
 	}
 	return p
 }
-
-// Policy reports the pipeline's backpressure policy, so durability layers
-// can refuse wirings whose semantics it would break (a WAL ahead of a Drop
-// pipeline could make a batch durable that the queue then refuses).
-func (p *Pipeline) Policy() Policy { return p.opts.Policy }
 
 // route picks the worker owning a source. Non-zero sources are sticky (one
 // worker, FIFO — attribution order per producer); zero spreads round-robin.
@@ -406,7 +396,6 @@ func (p *Pipeline) Close() error {
 		return p.Err()
 	}
 	p.closed = true
-	close(p.done)
 	for _, w := range p.workers {
 		close(w.q)
 	}
@@ -415,7 +404,8 @@ func (p *Pipeline) Close() error {
 	return p.Err()
 }
 
-// Err returns the first worker-side error observed (nil when healthy).
+// Err returns the first worker-side error observed, wrapping ErrLostWrites
+// (nil when healthy).
 func (p *Pipeline) Err() error {
 	p.errMu.Lock()
 	defer p.errMu.Unlock()
@@ -472,7 +462,7 @@ func (p *Pipeline) RegisterMetrics(reg *telemetry.Registry) {
 func (p *Pipeline) fail(err error) {
 	p.errMu.Lock()
 	if p.lastErr == nil {
-		p.lastErr = err
+		p.lastErr = fmt.Errorf("%w: %w", ErrLostWrites, err)
 	}
 	p.errMu.Unlock()
 	p.failed.Store(true)
@@ -481,7 +471,7 @@ func (p *Pipeline) fail(err error) {
 	}
 }
 
-// run is the worker loop: drain the queue, fold on size/age/epoch/barrier,
+// run is the worker loop: drain the queue, fold on size/age/barrier,
 // fold once more on shutdown so Close never strands accepted items.
 func (w *worker) run() {
 	defer w.p.wg.Done()
@@ -507,8 +497,7 @@ func (w *worker) run() {
 }
 
 // apply lands one batch: attribution hook first, then delta accumulation,
-// folding beforehand if the batch's epoch tag seals the delta's, and
-// afterwards if the delta reached the size threshold.
+// folding afterwards if the delta reached the size threshold.
 func (w *worker) apply(b Batch) {
 	if w.p.opts.Apply != nil {
 		if err := w.p.opts.Apply(b); err != nil {
@@ -521,10 +510,6 @@ func (w *worker) apply(b Batch) {
 		w.p.applied.Add(uint64(len(b.Items)))
 		return
 	}
-	if w.pending > 0 && b.Epoch != w.epoch {
-		w.fold(flushEpoch)
-	}
-	w.epoch = b.Epoch
 	sketch.InsertBatch(w.delta, b.Items)
 	w.pending += len(b.Items)
 	w.p.applied.Add(uint64(len(b.Items)))

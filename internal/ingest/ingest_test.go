@@ -21,6 +21,27 @@ func testStream(t testing.TB, n int) *stream.Stream {
 	return stream.Zipf(n, n/10, 1.1, 7)
 }
 
+// foldPipeline drives a Pipeline the way the netsum collector does: every
+// worker accumulates into a private same-Spec delta built by NewDelta, and
+// Fold merges it into one shared target under a mutex. The returned target
+// must only be read after Drain.
+func foldPipeline(t testing.TB, algo string, spec sketch.Spec, tuning ingest.Tuning) (*ingest.Pipeline, sketch.Sketch) {
+	t.Helper()
+	target := sketch.MustBuild(algo, spec)
+	var mu sync.Mutex
+	p := ingest.New(ingest.Options{
+		Tuning:   tuning,
+		NewDelta: func() sketch.Sketch { return sketch.MustBuild(algo, spec) },
+		Fold: func(delta sketch.Sketch) error {
+			mu.Lock()
+			defer mu.Unlock()
+			return sketch.Merge(target, delta)
+		},
+	})
+	t.Cleanup(func() { p.Close() })
+	return p, target
+}
+
 // chunks slices a stream into submission-sized batches.
 func chunks(items []stream.Item, size int) [][]stream.Item {
 	var out [][]stream.Item
@@ -53,23 +74,19 @@ func TestPipelineEquivalenceLinear(t *testing.T) {
 	seq := sketch.MustBuild("CM_fast", spec)
 	sketch.InsertBatch(seq, s.Items)
 
-	a, err := ingest.NewAsyncIngester("CM_fast", spec, ingest.Tuning{Workers: 4, FlushItems: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	p, target := foldPipeline(t, "CM_fast", spec, ingest.Tuning{Workers: 4, FlushItems: 1 << 12})
 	for i, c := range chunks(s.Items, 777) {
-		a.Submit(ingest.Batch{Items: c, Source: uint64(i%5) + 1})
+		p.Submit(ingest.Batch{Items: c, Source: uint64(i%5) + 1})
 	}
-	if err := a.Drain(); err != nil {
+	if err := p.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	for key := range s.Truth() {
-		if got, want := a.Query(key), seq.Query(key); got != want {
+		if got, want := target.Query(key), seq.Query(key); got != want {
 			t.Fatalf("key %d: pipeline CM answers %d, sequential %d", key, got, want)
 		}
 	}
-	st := a.Stats()
+	st := p.Stats()
 	if st.Accepted != uint64(s.Len()) || st.FoldedItems != uint64(s.Len()) || st.Dropped != 0 {
 		t.Fatalf("stats %+v: want %d accepted and folded, 0 dropped", st, s.Len())
 	}
@@ -89,22 +106,19 @@ func TestPipelineEquivalenceCertified(t *testing.T) {
 			seq := sketch.MustBuild("Ours", spec).(sketch.ErrorBounded)
 			sketch.InsertBatch(seq, s.Items)
 
-			a, err := ingest.NewAsyncIngester("Ours", spec, ingest.Tuning{Workers: 4, FlushItems: 1 << 12})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer a.Close()
+			p, target := foldPipeline(t, "Ours", spec, ingest.Tuning{Workers: 4, FlushItems: 1 << 12})
 			for i, c := range chunks(s.Items, 1024) {
-				a.Submit(ingest.Batch{Items: c, Source: uint64(i % 3)})
+				p.Submit(ingest.Batch{Items: c, Source: uint64(i % 3)})
 			}
-			if err := a.Drain(); err != nil {
+			if err := p.Drain(); err != nil {
 				t.Fatal(err)
+			}
+			eb, ok := target.(sketch.ErrorBounded)
+			if !ok {
+				t.Fatal("Ours fold target is not ErrorBounded")
 			}
 			for key, exact := range s.Truth() {
-				est, mpe, ok := a.QueryWithError(key)
-				if !ok {
-					t.Fatal("Ours lost ErrorBounded through the wrapper")
-				}
+				est, mpe := eb.QueryWithError(key)
 				lo := sketch.CertifiedLowerBound(est, mpe)
 				if exact < lo || exact > est {
 					t.Fatalf("key %d: pipeline interval [%d, %d] misses exact %d", key, lo, est, exact)
@@ -193,40 +207,6 @@ func TestPipelineBlockPolicyAcceptsEverything(t *testing.T) {
 	}
 }
 
-// TestPipelineEpochTagFlush checks the epoch-seal flush trigger: a worker
-// folds its pending delta before accumulating a batch with a different
-// epoch tag, so no delta ever straddles a producer-declared boundary.
-func TestPipelineEpochTagFlush(t *testing.T) {
-	spec := sketch.Spec{MemoryBytes: 1 << 16, Seed: 1}
-	var mu sync.Mutex
-	var foldSums []uint64
-	p := ingest.New(ingest.Options{
-		// One worker and huge thresholds: only epoch tags (and the final
-		// drain) may trigger folds.
-		Tuning:   ingest.Tuning{Workers: 1, FlushItems: 1 << 30, FlushAge: time.Hour},
-		NewDelta: func() sketch.Sketch { return sketch.MustBuild("CM_fast", spec) },
-		Fold: func(d sketch.Sketch) error {
-			mu.Lock()
-			foldSums = append(foldSums, d.Query(1))
-			mu.Unlock()
-			return nil
-		},
-	})
-	defer p.Close()
-	p.Submit(ingest.Batch{Items: []stream.Item{{Key: 1, Value: 10}}, Epoch: 1})
-	p.Submit(ingest.Batch{Items: []stream.Item{{Key: 1, Value: 5}}, Epoch: 1})
-	p.Submit(ingest.Batch{Items: []stream.Item{{Key: 1, Value: 100}}, Epoch: 2})
-	if err := p.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []uint64{15, 100}
-	if len(foldSums) != len(want) || foldSums[0] != want[0] || foldSums[1] != want[1] {
-		t.Fatalf("fold sums %v, want %v (one fold per epoch tag)", foldSums, want)
-	}
-}
-
 // TestPipelineFoldErrorSurfaces checks that a failing fold is retained and
 // reported by Drain, Err, and Stats rather than swallowed.
 func TestPipelineFoldErrorSurfaces(t *testing.T) {
@@ -238,8 +218,8 @@ func TestPipelineFoldErrorSurfaces(t *testing.T) {
 		Fold:     func(d sketch.Sketch) error { return boom },
 	})
 	p.Submit(ingest.Batch{Items: []stream.Item{{Key: 1, Value: 1}}})
-	if err := p.Drain(); !errors.Is(err, boom) {
-		t.Fatalf("Drain error = %v, want boom", err)
+	if err := p.Drain(); !errors.Is(err, boom) || !errors.Is(err, ingest.ErrLostWrites) {
+		t.Fatalf("Drain error = %v, want boom wrapped in ErrLostWrites", err)
 	}
 	if st := p.Stats(); st.LastError == "" {
 		t.Fatal("Stats().LastError empty after failed fold")
@@ -267,16 +247,6 @@ func TestPipelineClosedSubmitDrops(t *testing.T) {
 	}
 	if err := p.Drain(); err != nil {
 		t.Fatalf("drain after close: %v", err)
-	}
-}
-
-// TestAsyncIngesterRejectsNonMergeable: the wrapper's soundness rests on
-// Merge, so non-Mergeable variants are refused at construction.
-func TestAsyncIngesterRejectsNonMergeable(t *testing.T) {
-	for _, algo := range []string{"Elastic", "nope"} {
-		if _, err := ingest.NewAsyncIngester(algo, sketch.Spec{MemoryBytes: 1 << 16}, ingest.Tuning{}); err == nil {
-			t.Errorf("NewAsyncIngester(%q) accepted", algo)
-		}
 	}
 }
 

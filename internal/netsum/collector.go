@@ -288,14 +288,14 @@ func (c *Collector) foldGlobal(delta sketch.Sketch) error {
 
 // drainIngest is the read-your-writes barrier query and snapshot paths take
 // before touching agent or global state: everything producers were acked
-// for is applied and folded when it returns. A pipeline error means acked
-// items were lost (a failed fold discards its delta) — callers with an
+// for is applied and folded when it returns. A pipeline error wraps
+// ingest.ErrLostWrites (a failed fold discards its delta) — callers with an
 // error channel must refuse to answer rather than serve a certified
 // interval that provably misses traffic.
 func (c *Collector) drainIngest() error {
 	if err := c.pipe.Drain(); err != nil {
-		c.logf("netsum: ingest pipeline: %v", err)
-		return fmt.Errorf("netsum: ingest pipeline lost acked items: %w", err)
+		c.logf("netsum: %v", err)
+		return fmt.Errorf("netsum: %w", err)
 	}
 	return nil
 }

@@ -335,7 +335,10 @@ func TestWindowQueryOverNetwork(t *testing.T) {
 		if err := a.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := a.Stats(); err != nil {
+		// A query drains the collector's ingest pipeline, so the batch is
+		// applied in this epoch before the clock moves on. (A stats round
+		// trip is no such barrier: it counts updates at wire submission.)
+		if _, _, err := a.Query(7); err != nil {
 			t.Fatal(err)
 		}
 		clk.Advance(time.Second)

@@ -36,8 +36,8 @@ type Status struct {
 	Agents     int    `json:"agents"`
 	Updates    uint64 `json:"updates"`
 	Queries    uint64 `json:"queries"`
-	// Ingest reports the write pipeline's counters when the backend ingests
-	// through one (absent for synchronous backends).
+	// Ingest reports the collector's write-pipeline counters (absent for
+	// standalone backends, which apply writes synchronously).
 	Ingest *ingest.Stats `json:"ingest,omitempty"`
 	// WAL reports write-ahead-log counters when durable ingest is enabled
 	// (absent otherwise).
@@ -77,9 +77,9 @@ type Checkpointer interface {
 
 // Ingester is implemented by backends that accept updates over HTTP
 // (standalone mode; collector backends ingest through the agent protocol).
-// The Ack reports what actually happened — how many items were applied (or
-// enqueued, pipelined), how many a full queue refused — so HTTP clients are
-// never told 200 while their items silently vanish.
+// The Ack reports what actually happened — how many items were applied,
+// how many were refused — so HTTP clients are never told 200 while their
+// items silently vanish.
 type Ingester interface {
 	Ingest(b ingest.Batch) ingest.Ack
 }
@@ -144,10 +144,9 @@ func (b CollectorBackend) Status() Status {
 
 // SketchBackend serves a standalone registry-built sketch — cumulative, or
 // wrapped in an epoch ring when built with an epoch length. Ingest arrives
-// over HTTP (Ingest); queries and ingest may run concurrently. With
-// SketchBackendConfig.Ingest set, writes flow through an async ingest
-// pipeline (workers accumulate private deltas, one fold per flush) and
-// query paths drain it first, so acked writes are always visible.
+// over HTTP (Ingest) and is applied synchronously before it is acked, so an
+// Ack means "applied" and read-your-writes needs no barrier; queries and
+// ingest may run concurrently.
 type SketchBackend struct {
 	algo string
 
@@ -162,17 +161,14 @@ type SketchBackend struct {
 	// Epoch mode: the ring locks internally.
 	ring *epoch.Ring
 
-	// pipe is the optional async write plane; nil means synchronous ingest.
-	pipe *ingest.Pipeline
-
 	// wl is the optional write-ahead log (AttachWAL); every Ingest appends
-	// to it before touching the pipeline, so an acked batch is on disk
-	// before it is in memory. walMu orders appends against checkpoint cuts:
-	// ingest holds it shared around the (append, submit) pair, and the
-	// checkpoint cut holds it exclusive around (drain, serialize, capture
-	// LastLSN) — so every record at or below the cut LSN is in the snapshot
-	// and every record above it is not. cutLSN is the last cut, the point
-	// the log can be truncated through once that checkpoint file is durable.
+	// to it before applying the batch, so an acked batch is on disk before
+	// it is in memory. walMu orders appends against checkpoint cuts: ingest
+	// holds it shared around the (append, apply) pair, and the checkpoint
+	// cut holds it exclusive around (serialize, capture LastLSN) — so every
+	// record at or below the cut LSN is in the snapshot and every record
+	// above it is not. cutLSN is the last cut, the point the log can be
+	// truncated through once that checkpoint file is durable.
 	wl     *wal.Log
 	walMu  sync.RWMutex
 	cutLSN atomic.Uint64
@@ -183,123 +179,28 @@ type SketchBackend struct {
 	queries telemetry.Counter
 }
 
-// SketchBackendConfig names everything a standalone backend is built from.
-type SketchBackendConfig struct {
-	// Algo is the registered variant; Spec sizes it.
-	Algo string
-	Spec sketch.Spec
-	// Epoch > 0 selects epoch mode: a ring rotating every Epoch, retaining
-	// Windows sealed epochs (≤ 0 means the default). Clock overrides time
-	// (tests).
-	Epoch   time.Duration
-	Windows int
-	Clock   epoch.Clock
-	// Ingest, when non-nil, routes writes through an async pipeline with
-	// this tuning. Mergeable variants get delta folding (flat and ring
-	// targets alike); non-Mergeable ones get async application under the
-	// backend's write lock — still off the producer's critical path.
-	Ingest *ingest.Tuning
-}
-
 // NewSketchBackend builds a standalone backend for the named registry
-// variant with synchronous ingest. epochLen > 0 selects epoch mode: a ring
-// rotating every epochLen retaining windows sealed epochs (≤ 0 windows
-// means the default).
+// variant. epochLen > 0 selects epoch mode: a ring rotating every epochLen
+// retaining windows sealed epochs (≤ 0 windows means the default). clock
+// overrides time (tests); nil means time.Now.
 func NewSketchBackend(algo string, spec sketch.Spec, epochLen time.Duration, windows int, clock epoch.Clock) (*SketchBackend, error) {
-	return NewSketchBackendFrom(SketchBackendConfig{
-		Algo: algo, Spec: spec, Epoch: epochLen, Windows: windows, Clock: clock,
-	})
-}
-
-// NewSketchBackendFrom builds a standalone backend from the full config.
-func NewSketchBackendFrom(cfg SketchBackendConfig) (*SketchBackend, error) {
-	entry, ok := sketch.Lookup(cfg.Algo)
+	entry, ok := sketch.Lookup(algo)
 	if !ok {
-		return nil, fmt.Errorf("queryd: unknown algorithm %q", cfg.Algo)
+		return nil, fmt.Errorf("queryd: unknown algorithm %q", algo)
 	}
-	b := &SketchBackend{algo: cfg.Algo}
-	if cfg.Epoch > 0 {
-		b.ring = epoch.NewRing(entry.Factory(cfg.Spec), cfg.Spec.MemoryBytes, cfg.Epoch, cfg.Windows, cfg.Clock)
+	b := &SketchBackend{algo: algo}
+	if epochLen > 0 {
+		b.ring = epoch.NewRing(entry.Factory(spec), spec.MemoryBytes, epochLen, windows, clock)
 	} else {
-		b.sk = entry.Build(cfg.Spec)
-		b.selfSynced = cfg.Spec.Shards > 1
-	}
-	if cfg.Ingest == nil {
-		return b, nil
-	}
-	mergeable := entry.Caps.Has(sketch.CapMergeable)
-	newDelta := func() sketch.Sketch { return entry.Build(cfg.Spec) }
-	switch {
-	case b.ring != nil && mergeable:
-		// Ring target: folds land in the active window, and the ring drains
-		// the pipeline before sealing an overdue epoch, so sealed windows
-		// are exact.
-		p, err := ingest.ForRing(b.ring, newDelta, *cfg.Ingest)
-		if err != nil {
-			return nil, err
-		}
-		b.pipe = p
-	case b.ring != nil:
-		// Non-Mergeable ring: apply batches asynchronously; the ring locks
-		// internally and rotates on the insert path, as synchronous ingest
-		// would.
-		b.pipe = ingest.New(ingest.Options{Tuning: *cfg.Ingest, Apply: func(batch ingest.Batch) error {
-			b.ring.InsertBatch(batch.Items)
-			return nil
-		}})
-	case mergeable:
-		b.pipe = ingest.New(ingest.Options{Tuning: *cfg.Ingest, NewDelta: newDelta, Fold: b.fold})
-	default:
-		b.pipe = ingest.New(ingest.Options{Tuning: *cfg.Ingest, Apply: func(batch ingest.Batch) error {
-			b.mu.Lock()
-			sketch.InsertBatch(b.sk, batch.Items)
-			b.mu.Unlock()
-			return nil
-		}})
+		b.sk = entry.Build(spec)
+		b.selfSynced = spec.Shards > 1
 	}
 	return b, nil
 }
 
-// fold merges one worker's delta into the cumulative sketch — one short
-// write-lock hold per flush. Self-synchronizing (sharded) sketches lock
-// shard pairs inside Merge; flat ones take the backend's write lock.
-func (b *SketchBackend) fold(delta sketch.Sketch) error {
-	if b.selfSynced {
-		return sketch.Merge(b.sk, delta)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return sketch.Merge(b.sk, delta)
-}
-
-// ErrLostWrites marks the unrecoverable backend state where acked items
-// were lost (a failed fold discards its delta). HTTP surfaces map it to a
-// hard 500 — retrying, here or on another replica, cannot restore the lost
-// writes.
-var ErrLostWrites = errors.New("queryd: ingest pipeline lost acked items")
-
-// drain is the read-your-writes barrier of pipelined backends; a no-op for
-// synchronous ones. A pipeline error means acked items were lost, so
-// readers must refuse to answer rather than serve certified intervals that
-// provably miss traffic.
-func (b *SketchBackend) drain() error {
-	if b.pipe == nil {
-		return nil
-	}
-	if err := b.pipe.Drain(); err != nil {
-		return fmt.Errorf("%w: %v", ErrLostWrites, err)
-	}
-	return nil
-}
-
-// Close stops the ingest pipeline's workers, folding everything accepted.
-// Synchronous backends close trivially.
-func (b *SketchBackend) Close() error {
-	if b.pipe == nil {
-		return nil
-	}
-	return b.pipe.Close()
-}
+// Close is a no-op: synchronous ingest leaves nothing running. It lets
+// callers release every backend alike.
+func (b *SketchBackend) Close() error { return nil }
 
 // Restore warm-starts a cumulative backend from a snapshot (epoch-mode
 // state ages out instead of being checkpointed).
@@ -316,38 +217,30 @@ func (b *SketchBackend) Restore(r io.Reader) error {
 	return sn.Restore(r)
 }
 
-// Ingest lands a typed batch: enqueued on the pipeline when one is
-// configured (the Ack then reports drops under the Drop policy), applied
-// synchronously otherwise. The Ack's generation is stamped from the
-// backend, so epoch-mode clients can key caches off their own writes.
+// Ingest applies a typed batch synchronously; the Ack's generation is
+// stamped from the backend, so epoch-mode clients can key caches off their
+// own writes.
 //
 // With a WAL attached, the batch is appended (and, per the fsync policy,
-// made durable) before it enters the pipeline — the ack promises the write
-// survives a crash. A failed append refuses the whole batch (Dropped) rather
-// than acking a write that would vanish on restart; the log's sticky failure
+// made durable) before it is applied — the ack promises the write survives
+// a crash. A failed append refuses the whole batch (Dropped) rather than
+// acking a write that would vanish on restart; the log's sticky failure
 // state surfaces in Status.
 func (b *SketchBackend) Ingest(batch ingest.Batch) ingest.Ack {
 	if b.wl == nil {
-		return b.submit(batch)
+		return b.apply(batch)
 	}
 	b.walMu.RLock()
 	defer b.walMu.RUnlock()
 	if _, err := b.wl.Append(batch); err != nil {
 		return ingest.Ack{Dropped: len(batch.Items), Generation: b.peekGeneration()}
 	}
-	return b.submit(batch)
+	return b.apply(batch)
 }
 
-// submit is Ingest minus durability: the in-memory landing path, shared by
+// apply is Ingest minus durability: the in-memory landing path, shared by
 // live traffic and WAL replay.
-func (b *SketchBackend) submit(batch ingest.Batch) ingest.Ack {
-	var ack ingest.Ack
-	if b.pipe != nil {
-		ack = b.pipe.Submit(batch)
-		b.updates.Add(uint64(ack.Accepted))
-		ack.Generation = b.peekGeneration()
-		return ack
-	}
+func (b *SketchBackend) apply(batch ingest.Batch) ingest.Ack {
 	switch {
 	case b.ring != nil:
 		b.ring.InsertBatch(batch.Items)
@@ -362,10 +255,9 @@ func (b *SketchBackend) submit(batch ingest.Batch) ingest.Ack {
 	return ingest.Ack{Accepted: len(batch.Items), Generation: b.peekGeneration()}
 }
 
-// peekGeneration labels Acks without driving rotation: Generation() pokes
-// the ring, which on a pipelined epoch backend would drain the whole
-// pipeline inside the write handler — the producer stall the async plane
-// exists to remove.
+// peekGeneration labels Acks without driving rotation: the insert just
+// rotated the ring if an epoch was due, and Generation()'s poke would only
+// contend on the ring lock a second time per write.
 func (b *SketchBackend) peekGeneration() uint64 {
 	if b.ring == nil {
 		return 0
@@ -382,9 +274,6 @@ func (b *SketchBackend) peekGeneration() uint64 {
 // collector.
 func (b *SketchBackend) Execute(req query.Request) (query.Answer, error) {
 	if err := req.Validate(); err != nil {
-		return query.Answer{}, err
-	}
-	if err := b.drain(); err != nil {
 		return query.Answer{}, err
 	}
 	b.queries.Inc()
@@ -457,10 +346,10 @@ func (b *SketchBackend) Epochal() bool { return b.ring != nil }
 
 // AttachWAL wires a write-ahead log into the backend: every record past
 // ckptLSN (the restored checkpoint's cut) and the log's own watermark is
-// replayed through the same in-memory path live traffic takes, drained to
-// visibility, and only then does the log start intercepting Ingest — no
-// appends happen during replay. Cumulative mode only: replaying old records
-// into an epoch ring would resurrect expired traffic into the live window.
+// replayed through the same in-memory path live traffic takes, and only
+// then does the log start intercepting Ingest — no appends happen during
+// replay. Cumulative mode only: replaying old records into an epoch ring
+// would resurrect expired traffic into the live window.
 func (b *SketchBackend) AttachWAL(l *wal.Log, ckptLSN uint64) error {
 	if b.ring != nil {
 		return errors.New("queryd: WAL-backed ingest is cumulative-mode only (epoch-ring state ages out instead)")
@@ -468,26 +357,11 @@ func (b *SketchBackend) AttachWAL(l *wal.Log, ckptLSN uint64) error {
 	if b.wl != nil {
 		return errors.New("queryd: WAL already attached")
 	}
-	if b.pipe != nil && b.pipe.Policy() == ingest.Drop {
-		// Drop would let a momentarily full queue refuse a batch already
-		// durable on disk — live state says dropped, the log resurrects it
-		// on replay, and the same race makes replay itself fail on a healthy
-		// log. Block is the only policy whose acks the WAL can honestly
-		// extend across a crash.
-		return errors.New("queryd: WAL-backed ingest requires the block ingest policy (drop could refuse a durable batch live, then resurrect it on replay)")
-	}
 	after := max(ckptLSN, l.Watermark())
-	if _, err := l.Replay(after, func(batch ingest.Batch, lsn uint64) error {
-		// The pipeline (if any) is Block, so Dropped > 0 means it failed or
-		// closed — recovery must not paper over that.
-		if ack := b.submit(batch); ack.Dropped > 0 {
-			return fmt.Errorf("queryd: replaying wal record %d: %d items refused (pipeline failed)", lsn, ack.Dropped)
-		}
+	if _, err := l.Replay(after, func(batch ingest.Batch, _ uint64) error {
+		b.apply(batch)
 		return nil
 	}); err != nil {
-		return err
-	}
-	if err := b.drain(); err != nil {
 		return err
 	}
 	b.cutLSN.Store(after)
@@ -512,8 +386,8 @@ func (b *SketchBackend) CheckpointCommitted() error {
 // (a snapshot is a read); ingest is excluded for the serialization only —
 // the state is captured into memory under the lock and written to w after
 // releasing it, so ingest never stalls on the destination's I/O. With a WAL
-// attached, the (drain, serialize, capture LastLSN) cut runs under the
-// exclusive side of walMu so no (append, submit) pair straddles it.
+// attached, the (serialize, capture LastLSN) cut runs under the exclusive
+// side of walMu so no (append, apply) pair straddles it.
 func (b *SketchBackend) Checkpoint(w io.Writer) error {
 	if err := b.CanCheckpoint(); err != nil {
 		return err
@@ -536,12 +410,9 @@ func (b *SketchBackend) Checkpoint(w io.Writer) error {
 	return err
 }
 
-// checkpointCut drains pending ingest and serializes the sketch into a
-// buffer; the caller handles WAL cut ordering around it.
+// checkpointCut serializes the sketch into a buffer; the caller handles
+// WAL cut ordering around it.
 func (b *SketchBackend) checkpointCut(sn sketch.Snapshotter) (*bytes.Buffer, error) {
-	if err := b.drain(); err != nil {
-		return nil, err
-	}
 	var buf bytes.Buffer
 	if b.selfSynced {
 		// Sharded snapshots lock shard-by-shard themselves.
@@ -572,15 +443,12 @@ func (b *SketchBackend) CanCheckpoint() error {
 }
 
 // RegisterMetrics exposes the backend's instruments on reg: its own
-// update/query counters plus, when configured, its ingest pipeline's, its
-// WAL's, and its epoch ring's. Call it after the backend is fully wired
-// (in particular after AttachWAL) — queryd.New does, at server build time.
+// update/query counters plus, when configured, its WAL's and its epoch
+// ring's. Call it after the backend is fully wired (in particular after
+// AttachWAL) — queryd.New does, at server build time.
 func (b *SketchBackend) RegisterMetrics(reg *telemetry.Registry) {
 	reg.RegisterCounter("queryd_backend_updates_total", "Items accepted by Ingest.", nil, &b.updates)
 	reg.RegisterCounter("queryd_backend_queries_total", "Typed batch requests executed.", nil, &b.queries)
-	if b.pipe != nil {
-		b.pipe.RegisterMetrics(reg)
-	}
 	if b.wl != nil {
 		b.wl.RegisterMetrics(reg)
 	}
@@ -598,10 +466,6 @@ func (b *SketchBackend) Status() Status {
 		Generation: b.Generation(),
 		Updates:    b.updates.Value(),
 		Queries:    b.queries.Value(),
-	}
-	if b.pipe != nil {
-		ist := b.pipe.Stats()
-		st.Ingest = &ist
 	}
 	if b.wl != nil {
 		ws := b.wl.Stats()

@@ -30,8 +30,8 @@ type DeltaSource interface {
 	// DeltaVersion is a monotonic counter that advances with every accepted
 	// local write; equal versions mean an identical snapshot.
 	DeltaVersion() uint64
-	// SnapshotDelta serializes the local state (drained to read-your-writes
-	// visibility) and reports the version the snapshot covers at least.
+	// SnapshotDelta serializes the local state (every acked write included)
+	// and reports the version the snapshot covers at least.
 	SnapshotDelta(w io.Writer) (uint64, error)
 }
 

@@ -2,7 +2,6 @@ package queryd
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -25,35 +24,34 @@ type testClock struct{ nanos atomic.Int64 }
 func (c *testClock) clock() time.Time        { return time.Unix(0, c.nanos.Load()) }
 func (c *testClock) advance(d time.Duration) { c.nanos.Add(int64(d)) }
 
-// pipelinedBackends builds the three write-surface shapes the ingest plane
-// serves — flat, sharded, and ring-backed — all through the async pipeline.
-// The returned seal func makes every ring epoch boundary pass (no-op for
-// cumulative backends).
-func pipelinedBackends(t *testing.T) map[string]struct {
+// backends builds the three write-surface shapes standalone ingest serves
+// — flat, sharded, and ring-backed. The returned seal func makes every ring
+// epoch boundary pass (no-op for cumulative backends).
+func backends(t *testing.T) map[string]struct {
 	b    *SketchBackend
 	seal func()
 } {
 	t.Helper()
-	tuning := ingest.Tuning{Workers: 4, FlushItems: 1 << 10}
 	clk := &testClock{}
 	interval := time.Minute
 	out := make(map[string]struct {
 		b    *SketchBackend
 		seal func()
 	})
-	for name, cfg := range map[string]SketchBackendConfig{
-		"flat":    {Algo: "Ours", Spec: sketch.Spec{MemoryBytes: 1 << 19, Lambda: 25, Seed: 2}, Ingest: &tuning},
-		"sharded": {Algo: "Ours", Spec: sketch.Spec{MemoryBytes: 1 << 19, Lambda: 25, Seed: 2, Shards: 8}, Ingest: &tuning},
-		"ring": {Algo: "Ours", Spec: sketch.Spec{MemoryBytes: 1 << 19, Lambda: 25, Seed: 2},
-			Epoch: interval, Windows: 64, Clock: clk.clock, Ingest: &tuning},
+	for name, cfg := range map[string]struct {
+		spec  sketch.Spec
+		epoch time.Duration
+	}{
+		"flat":    {spec: sketch.Spec{MemoryBytes: 1 << 19, Lambda: 25, Seed: 2}},
+		"sharded": {spec: sketch.Spec{MemoryBytes: 1 << 19, Lambda: 25, Seed: 2, Shards: 8}},
+		"ring":    {spec: sketch.Spec{MemoryBytes: 1 << 19, Lambda: 25, Seed: 2}, epoch: interval},
 	} {
-		b, err := NewSketchBackendFrom(cfg)
+		b, err := NewSketchBackend("Ours", cfg.spec, cfg.epoch, 64, clk.clock)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		t.Cleanup(func() { b.Close() })
 		seal := func() {}
-		if cfg.Epoch > 0 {
+		if cfg.epoch > 0 {
 			seal = func() { clk.advance(interval) }
 		}
 		out[name] = struct {
@@ -65,13 +63,13 @@ func pipelinedBackends(t *testing.T) map[string]struct {
 }
 
 // TestIngestQueryInterleaving is the ingest/query race matrix: concurrent
-// pipeline flushes vs. typed query.Request execution on flat, sharded, and
-// ring-backed sketches. Mid-flight answers must stay well-formed; after a
-// full drain the certified bounds must contain the exact counts. Run under
-// -race in CI.
+// synchronous ingest vs. typed query.Request execution on flat, sharded,
+// and ring-backed sketches. Mid-flight answers must stay well-formed; once
+// the writers finish, the certified bounds must contain the exact counts.
+// Run under -race in CI.
 func TestIngestQueryInterleaving(t *testing.T) {
 	s := stream.Zipf(30_000, 2_000, 1.1, 11)
-	for name, pb := range pipelinedBackends(t) {
+	for name, pb := range backends(t) {
 		b, seal := pb.b, pb.seal
 		t.Run(name, func(t *testing.T) {
 			const writers = 4
@@ -104,9 +102,8 @@ func TestIngestQueryInterleaving(t *testing.T) {
 			wg.Wait()
 
 			if b.Epochal() {
-				// Cross the epoch boundary so the traffic seals; the read
-				// path drains the pipeline before sealing, and Execute
-				// drains again before answering.
+				// Cross the epoch boundary so the traffic seals; Execute's
+				// read path seals the overdue window before answering.
 				seal()
 			}
 			truth := s.Truth()
@@ -138,63 +135,11 @@ func TestIngestQueryInterleaving(t *testing.T) {
 	}
 }
 
-// TestPipelinedBackendEquivalence proves pipeline-ingested backend state
-// answers queries identically (within certified bounds) to sequential
-// synchronous ingest, across the flat and sharded shapes.
-func TestPipelinedBackendEquivalence(t *testing.T) {
-	s := stream.Zipf(30_000, 2_000, 1.1, 13)
-	spec := sketch.Spec{MemoryBytes: 1 << 19, Lambda: 25, Seed: 4, Shards: 8}
-	sync1, err := NewSketchBackend("Ours", spec, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sync1.Ingest(ingest.Batch{Items: s.Items})
-
-	tuning := ingest.Tuning{Workers: 4, FlushItems: 1 << 10}
-	piped, err := NewSketchBackendFrom(SketchBackendConfig{Algo: "Ours", Spec: spec, Ingest: &tuning})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer piped.Close()
-	for lo := 0; lo < s.Len(); lo += 900 {
-		piped.Ingest(ingest.Batch{Items: s.Items[lo:min(lo+900, s.Len())]})
-	}
-
-	truth := s.Truth()
-	keys := make([]uint64, 0, len(truth))
-	for k := range truth {
-		keys = append(keys, k)
-		if len(keys) == query.MaxBatchKeys {
-			break
-		}
-	}
-	req := query.Request{Kind: query.Point, Keys: keys}
-	a1, err := sync1.Execute(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := piped.Execute(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a1.PerKey {
-		exact := truth[a1.PerKey[i].Key]
-		for which, e := range map[string]query.Estimate{"sequential": a1.PerKey[i], "pipelined": a2.PerKey[i]} {
-			if exact < e.Lower || exact > e.Upper {
-				t.Fatalf("%s key %d: interval [%d, %d] misses exact %d", which, e.Key, e.Lower, e.Upper, exact)
-			}
-		}
-	}
-}
-
 // TestInsertReportsApplied pins the /v1/insert fix: the response body says
-// how many items were accepted and dropped, and with a drop-policy pipeline
-// a refused batch is reported instead of silently 200-ed away.
+// how many items were accepted and dropped, so a refused batch is reported
+// instead of silently 200-ed away.
 func TestInsertReportsApplied(t *testing.T) {
-	tuning := ingest.Tuning{Workers: 1, FlushItems: 1 << 20}
-	b, err := NewSketchBackendFrom(SketchBackendConfig{
-		Algo: "Ours", Spec: sketch.Spec{MemoryBytes: 1 << 18, Lambda: 25, Seed: 1}, Ingest: &tuning,
-	})
+	b, err := NewSketchBackend("Ours", sketch.Spec{MemoryBytes: 1 << 18, Lambda: 25, Seed: 1}, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +174,7 @@ func TestInsertReportsApplied(t *testing.T) {
 // TestIngestV2Endpoint drives POST /v2/ingest end to end: typed batches
 // (source + epoch tag) in, Ack JSON out, state queryable after.
 func TestIngestV2Endpoint(t *testing.T) {
-	tuning := ingest.Tuning{Workers: 2}
-	b, err := NewSketchBackendFrom(SketchBackendConfig{
-		Algo: "Ours", Spec: sketch.Spec{MemoryBytes: 1 << 18, Lambda: 25, Seed: 1}, Ingest: &tuning,
-	})
+	b, err := NewSketchBackend("Ours", sketch.Spec{MemoryBytes: 1 << 18, Lambda: 25, Seed: 1}, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,31 +229,27 @@ func TestIngestV2Endpoint(t *testing.T) {
 	}
 }
 
-// TestIngestStatsInStatus checks /v1/status surfaces the pipeline counters.
+// TestIngestStatsInStatus checks /v1/status on a standalone backend: the
+// update counter covers the applied batch as soon as Ingest returns, and
+// the JSON omits the ingest section, which only a collector's pipeline
+// fills.
 func TestIngestStatsInStatus(t *testing.T) {
-	tuning := ingest.Tuning{Workers: 2}
-	b, err := NewSketchBackendFrom(SketchBackendConfig{
-		Algo: "Ours", Spec: sketch.Spec{MemoryBytes: 1 << 18, Lambda: 25, Seed: 1}, Ingest: &tuning,
-	})
+	b, err := NewSketchBackend("Ours", sketch.Spec{MemoryBytes: 1 << 18, Lambda: 25, Seed: 1}, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	b.Ingest(ingest.Batch{Items: []stream.Item{{Key: 1, Value: 1}}})
-	if err := b.pipe.Drain(); err != nil {
-		t.Fatal(err)
+	if ack := b.Ingest(ingest.Batch{Items: []stream.Item{{Key: 1, Value: 1}}}); ack.Accepted != 1 {
+		t.Fatalf("ingest acked %+v, want 1 accepted", ack)
 	}
 	st := b.Status()
-	if st.Ingest == nil {
-		t.Fatal("pipelined backend status has no ingest stats")
+	if st.Ingest != nil {
+		t.Fatalf("standalone status has ingest stats %+v", st.Ingest)
 	}
-	if st.Ingest.Accepted != 1 || st.Ingest.Workers != 2 {
-		t.Fatalf("ingest stats %+v, want 1 accepted across 2 workers", st.Ingest)
+	if st.Updates != 1 {
+		t.Fatalf("status updates %d, want 1", st.Updates)
 	}
-	if got, err := json.Marshal(st); err != nil || !strings.Contains(string(got), `"ingest"`) {
-		t.Fatalf("status JSON %s (%v) lacks ingest section", got, err)
-	}
-	if fmt.Sprint(st.Ingest.Policy) != "block" {
-		t.Fatalf("default policy %q, want block", st.Ingest.Policy)
+	if got, err := json.Marshal(st); err != nil || strings.Contains(string(got), `"ingest"`) {
+		t.Fatalf("status JSON %s (%v) has an ingest section", got, err)
 	}
 }

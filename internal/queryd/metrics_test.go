@@ -56,17 +56,15 @@ func sampleValue(t *testing.T, out, series string) uint64 {
 }
 
 // TestMetricsCoverageEpochalPipelined checks GET /metrics on an epoch-mode
-// pipelined server covers every plane: queryd request histograms, cache
-// counters, the ingest pipeline's families, and the ring's seal series —
-// and that /v1/status reports the same numbers, since both read the same
-// registered instruments.
+// standalone server covers every plane it has: queryd request histograms,
+// cache counters, and the ring's seal series — and that /v1/status reports
+// the same numbers, since both read the same registered instruments.
+// Standalone ingest is synchronous, so neither surface carries the
+// collector's ingest pipeline: no ingest_* series, no status ingest block.
 func TestMetricsCoverageEpochalPipelined(t *testing.T) {
 	clk := &manualTestClock{now: time.Unix(1000, 0)}
-	b, err := queryd.NewSketchBackendFrom(queryd.SketchBackendConfig{
-		Algo: "Ours", Spec: sketch.Spec{MemoryBytes: 256 << 10, Lambda: 25, Seed: 1},
-		Epoch: time.Second, Windows: 4, Clock: clk.Now,
-		Ingest: &ingest.Tuning{Workers: 1, FlushItems: 64},
-	})
+	b, err := queryd.NewSketchBackend("Ours", sketch.Spec{MemoryBytes: 256 << 10, Lambda: 25, Seed: 1},
+		time.Second, 4, clk.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +93,6 @@ func TestMetricsCoverageEpochalPipelined(t *testing.T) {
 		"queryd_cache_hits_total",
 		"queryd_cache_misses_total",
 		"queryd_backend_updates_total 2",
-		"ingest_accepted_items_total 2",
-		"ingest_fold_duration_seconds_count",
-		"ingest_queue_depth_batches 0",
 		"ring_seals_total",
 		"ring_generation",
 		"ring_sealed_windows",
@@ -107,6 +102,9 @@ func TestMetricsCoverageEpochalPipelined(t *testing.T) {
 		if !strings.Contains(out, series) {
 			t.Errorf("scrape missing %q", series)
 		}
+	}
+	if strings.Contains(out, "\ningest_") {
+		t.Errorf("standalone scrape has ingest pipeline series:\n%s", out)
 	}
 
 	// Satellite contract: /v1/status derives from the same instruments the
@@ -119,8 +117,8 @@ func TestMetricsCoverageEpochalPipelined(t *testing.T) {
 	if got := sampleValue(t, out, "queryd_cache_misses_total"); got != st.Cache.Misses {
 		t.Errorf("scrape misses %d != status misses %d", got, st.Cache.Misses)
 	}
-	if got := sampleValue(t, out, "ingest_accepted_items_total"); got != st.Backend.Ingest.Accepted {
-		t.Errorf("scrape accepted %d != status accepted %d", got, st.Backend.Ingest.Accepted)
+	if st.Backend.Ingest != nil {
+		t.Errorf("standalone status has an ingest block: %+v", st.Backend.Ingest)
 	}
 	if got := sampleValue(t, out, "ring_generation"); got != st.Backend.Generation {
 		t.Errorf("scrape generation %d != status generation %d", got, st.Backend.Generation)
@@ -135,10 +133,7 @@ func TestMetricsCoverageWALBacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := queryd.NewSketchBackendFrom(queryd.SketchBackendConfig{
-		Algo: "Ours", Spec: sketch.Spec{MemoryBytes: 256 << 10, Lambda: 25, Seed: 1},
-		Ingest: &ingest.Tuning{Workers: 1},
-	})
+	b, err := queryd.NewSketchBackend("Ours", sketch.Spec{MemoryBytes: 256 << 10, Lambda: 25, Seed: 1}, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

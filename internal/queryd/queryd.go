@@ -840,7 +840,7 @@ func (s *Server) execError(w http.ResponseWriter, err error) {
 		httpError(w, http.StatusBadRequest, "bad_request", err)
 	case errors.Is(err, query.ErrUnavailable):
 		httpError(w, http.StatusServiceUnavailable, "unavailable", err)
-	case errors.Is(err, ErrLostWrites):
+	case errors.Is(err, ingest.ErrLostWrites):
 		httpError(w, http.StatusInternalServerError, "internal", err)
 	default:
 		httpError(w, http.StatusNotImplemented, "unsupported", err)

@@ -34,8 +34,8 @@ func walTestSpec() sketch.Spec {
 	return sketch.Spec{MemoryBytes: 256 << 10, Lambda: 25, Seed: 1, Emergency: true}
 }
 
-// newWALBackend builds a pipelined (Block policy) backend with a WAL rooted
-// at dir attached, replaying past ckptLSN first.
+// newWALBackend builds a backend with a WAL rooted at dir attached,
+// replaying past ckptLSN first.
 func newWALBackend(t *testing.T, dir string, ckptLSN uint64, opts wal.Options) (*queryd.SketchBackend, *wal.Log) {
 	t.Helper()
 	opts.Dir = dir
@@ -43,10 +43,7 @@ func newWALBackend(t *testing.T, dir string, ckptLSN uint64, opts wal.Options) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := queryd.NewSketchBackendFrom(queryd.SketchBackendConfig{
-		Algo: "Ours", Spec: walTestSpec(),
-		Ingest: &ingest.Tuning{Policy: ingest.Block},
-	})
+	b, err := queryd.NewSketchBackend("Ours", walTestSpec(), 0, 0, nil)
 	if err != nil {
 		l.Close()
 		t.Fatal(err)
@@ -57,28 +54,6 @@ func newWALBackend(t *testing.T, dir string, ckptLSN uint64, opts wal.Options) (
 	}
 	t.Cleanup(func() { b.Close(); l.Close() })
 	return b, l
-}
-
-func TestAttachWALRefusesDropPolicy(t *testing.T) {
-	// Drop could refuse a batch the log already made durable — live state
-	// would say dropped while replay resurrects it — so attaching a WAL to a
-	// Drop pipeline is rejected, like WAL + epoch mode.
-	l, err := wal.Open(wal.Options{Dir: t.TempDir(), Fsync: wal.FsyncPolicy{Mode: wal.SyncOff}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	b, err := queryd.NewSketchBackendFrom(queryd.SketchBackendConfig{
-		Algo: "Ours", Spec: walTestSpec(),
-		Ingest: &ingest.Tuning{Policy: ingest.Drop},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.AttachWAL(l, 0); err == nil {
-		t.Fatal("AttachWAL accepted a Drop-policy pipeline")
-	}
 }
 
 // assertContains asserts key's certified interval contains truth.
@@ -175,10 +150,7 @@ func TestCheckpointCutTruncatesWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := queryd.NewSketchBackendFrom(queryd.SketchBackendConfig{
-		Algo: "Ours", Spec: walTestSpec(),
-		Ingest: &ingest.Tuning{Policy: ingest.Block},
-	})
+	b2, err := queryd.NewSketchBackend("Ours", walTestSpec(), 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +227,7 @@ func TestAttachWALRefusesEpochMode(t *testing.T) {
 }
 
 // runKillChild is the victim process of the kill-recovery test: a WAL-backed
-// backend (per-batch fsync, Block policy) that ingests forever, printing one
+// backend (per-batch fsync) that ingests forever, printing one
 // "ack <key> <value>" line to stdout after each acked — therefore durable —
 // batch. It never exits on its own; the parent SIGKILLs it mid-stream.
 func runKillChild(dir string) {
@@ -264,10 +236,7 @@ func runKillChild(dir string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	b, err := queryd.NewSketchBackendFrom(queryd.SketchBackendConfig{
-		Algo: "Ours", Spec: walTestSpec(),
-		Ingest: &ingest.Tuning{Policy: ingest.Block},
-	})
+	b, err := queryd.NewSketchBackend("Ours", walTestSpec(), 0, 0, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -1,14 +1,14 @@
 // Command benchjson converts `go test -bench` text output into a
 // machine-readable JSON document, so CI can archive benchmark runs as
 // artifacts (BENCH_ingest.json, BENCH_wal.json, BENCH_cache.json) and the
-// performance trajectory of the ingest plane is recorded run over run
+// performance trajectory of the hot paths is recorded run over run
 // instead of scrolling away in logs. Custom b.ReportMetric units (the cache
 // suite's "hitrate" and "ops/run") are carried through in a per-benchmark
 // metrics map.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'PipelineIngest|InsertBatch' -benchmem . |
+//	go test -run '^$' -bench 'InsertBatch' -benchmem . |
 //	    go run ./internal/tools/benchjson > BENCH_ingest.json
 //
 // With -compare it is also the perf-regression gate: the fresh run is
@@ -25,11 +25,7 @@
 //	    go run ./internal/tools/benchjson -compare BENCH_ingest.json -threshold 10 -allocs > fresh.json
 //
 // Per-op times are per ITEM for the ingestion benchmarks, so the emitted
-// mitems_per_sec compare directly. When both the single-writer baseline
-// (BenchmarkInsertBatch/Ours_sharded8) and the pipeline runs
-// (BenchmarkPipelineIngest/Ours_sharded8/workers=N) appear in the input,
-// a derived speedup-vs-single-writer section is included — the artifact's
-// headline is the workers=8 ratio the acceptance bar reads.
+// mitems_per_sec compare directly.
 package main
 
 import (
@@ -66,15 +62,7 @@ type Output struct {
 	CPU        string      `json:"cpu,omitempty"`
 	Pkg        string      `json:"pkg,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
-	// SpeedupVsSingleWriter maps "workers=N" to pipeline throughput over
-	// the single-writer sharded-core InsertBatch baseline.
-	SpeedupVsSingleWriter map[string]float64 `json:"speedup_vs_single_writer,omitempty"`
 }
-
-const (
-	baselineName = "BenchmarkInsertBatch/Ours_sharded8"
-	pipelineStem = "BenchmarkPipelineIngest/Ours_sharded8/workers="
-)
 
 func main() {
 	compare := flag.String("compare", "", "baseline JSON document to gate against; exit 1 on regression")
@@ -107,24 +95,6 @@ func main() {
 		fatalf("benchjson: %v", err)
 	}
 	out.Benchmarks = aggregate(out.Benchmarks)
-
-	var baseline float64
-	for _, b := range out.Benchmarks {
-		if trimCPUSuffix(b.Name) == baselineName {
-			baseline = b.NsPerOp
-		}
-	}
-	if baseline > 0 {
-		for _, b := range out.Benchmarks {
-			name := trimCPUSuffix(b.Name)
-			if rest, ok := strings.CutPrefix(name, pipelineStem); ok && b.NsPerOp > 0 {
-				if out.SpeedupVsSingleWriter == nil {
-					out.SpeedupVsSingleWriter = make(map[string]float64)
-				}
-				out.SpeedupVsSingleWriter["workers="+rest] = round3(baseline / b.NsPerOp)
-			}
-		}
-	}
 
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

@@ -120,9 +120,9 @@ func decodeRecord(payload []byte) (ingest.Batch, error) {
 	if err != nil {
 		return b, err
 	}
-	// Each item is ≥ 2 bytes; a count beyond the remaining payload is
+	// Each item is ≥ 2 bytes; a count the remaining payload cannot hold is
 	// corruption that slipped a CRC collision — refuse, don't allocate.
-	if count > uint64(len(payload)) {
+	if count > uint64(len(payload))/2 {
 		return b, fmt.Errorf("wal: record claims %d items in %d payload bytes", count, len(payload))
 	}
 	b.Items = make([]stream.Item, count)

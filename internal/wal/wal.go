@@ -1,8 +1,8 @@
 // Package wal is the durability subsystem at the ingest-plane boundary: a
 // write-ahead log of typed ingest.Batch frames, so an Ack can be a promise
-// the system keeps across a crash. PR 5's pipeline acks every batch, but
-// until now everything since the last checkpoint died with the process —
-// "read-your-acked-writes" held only while the process lived.
+// the system keeps across a crash. Without it, everything acked since the
+// last checkpoint dies with the process — "read-your-acked-writes" holds
+// only while the process lives.
 //
 // The log is a directory of append-only segment files (length-framed,
 // CRC32-checked records; rotation by size) plus a MANIFEST tracking segment
@@ -18,9 +18,10 @@
 //     and close.
 //
 // Recovery is restore-newest-checkpoint + Replay of every record past the
-// checkpoint's watermark through the same ingest pipeline live traffic
-// takes, so recovered state passes the exact certified-bounds contract live
-// state does. A successful checkpoint advances the watermark
+// checkpoint's watermark through the same ingest path live traffic takes
+// (a standalone backend's synchronous apply, a collector's pipeline), so
+// recovered state passes the exact certified-bounds contract live state
+// does. A successful checkpoint advances the watermark
 // (TruncateThrough) and deletes dead segments. Torn tails — a crash mid
 // append — are detected by CRC at Open, truncated to the last whole record,
 // and counted; a partial batch is never replayed.

@@ -79,7 +79,7 @@ R1="$(addr 1)" R2="$(addr 2)" R3="$(addr 3)"
 PEERS="http://$R1,http://$R2,http://$R3"
 SINGLE="http://$(addr 0)"
 ROUTER="http://$(addr 4)"
-CM_FLAGS=(-algo CM_acc -mem $((64 << 10)) -seed 7 -ingest-workers 0 -cache-ttl 1ms)
+CM_FLAGS=(-algo CM_acc -mem $((64 << 10)) -seed 7 -cache-ttl 1ms)
 
 start_node single -listen "$(addr 0)" "${CM_FLAGS[@]}"
 for r in "$R1" "$R2" "$R3"; do
@@ -125,7 +125,7 @@ echo
 echo "=== part 2: killing a replica degrades coverage, never certifies a lie"
 ###############################################################################
 
-OURS_FLAGS=(-algo Ours -mem $((1 << 20)) -seed 5 -ingest-workers 0 -cache-ttl 1ms)
+OURS_FLAGS=(-algo Ours -mem $((1 << 20)) -seed 5 -cache-ttl 1ms)
 start_node replica2-1 -listen "$R1" -peers "$PEERS" -self "http://$R1" "${OURS_FLAGS[@]}"
 REPLICA1_PID="${PIDS[-1]}"
 start_node replica2-2 -listen "$R2" -peers "$PEERS" -self "http://$R2" "${OURS_FLAGS[@]}"

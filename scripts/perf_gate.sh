@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # perf_gate.sh — the repo's one perf source of truth.
 #
-# Runs the ingest-plane, WAL, and result-cache benchmark suites and gates
+# Runs the sketch-ingest, WAL, and result-cache benchmark suites and gates
 # them against the committed baselines (BENCH_ingest.json, BENCH_wal.json,
 # BENCH_cache.json) via internal/tools/benchjson -compare: the build fails
 # when any benchmark's ns/op regresses past the threshold, when a hot-path
@@ -69,13 +69,13 @@ gate_suite() {
   rm -f "$txt"
 }
 
-# Ingest plane: per-item ns/op, 0 allocs/op contract on the flattened hot
-# paths. Fixed -benchtime so run length (and the stream prefix each sketch
+# Ingest: per-item sketch insert ns/op, 0 allocs/op contract on the
+# flattened hot paths. Fixed -benchtime so run length (and the stream prefix each sketch
 # sees) is identical to the baseline run; -count=3 because benchjson folds
 # repeated runs into their best observation, which cancels scheduler and
 # frequency noise on both sides of the comparison.
 gate_suite "ingest" BENCH_ingest.json BENCH_ingest.fresh.json "$THRESHOLD" \
-  go test -run '^$' -bench 'BenchmarkPipelineIngest|BenchmarkInsertBatch' \
+  go test -run '^$' -bench 'BenchmarkInsertBatch' \
     -benchtime=1000000x -benchmem -count=3 .
 
 # Durability plane: fsync-bound, so the threshold is looser and allocs per

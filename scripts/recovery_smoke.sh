@@ -5,6 +5,10 @@
 # recovered certified interval. Exercises the full durability pipeline —
 # checkpoint restore plus WAL tail replay — from outside the process.
 #
+# A second leg runs with -checkpoint and no WAL: it ingests, sends SIGTERM,
+# restarts, and asserts the acked counts are served — so a graceful stop
+# must write the final checkpoint after in-flight requests finish.
+#
 # Requires: go, curl, python3 (JSON assertions). Run from anywhere.
 set -euo pipefail
 
@@ -25,10 +29,10 @@ BASE="http://$ADDR"
 echo "== build rsserve"
 go build -o "$WORK/rsserve" ./cmd/rsserve
 
+# start_server FLAGS... — launch rsserve with FLAGS and wait until it
+# answers /v1/status.
 start_server() {
-  "$WORK/rsserve" -listen "$ADDR" -mem $((1 << 20)) \
-    -checkpoint "$WORK/ckpt.bin" \
-    -wal-dir "$WORK/wal" -wal-fsync batch \
+  "$WORK/rsserve" -listen "$ADDR" -mem $((1 << 20)) "$@" \
     >>"$WORK/server.log" 2>&1 &
   PID=$!
   for _ in $(seq 1 50); do
@@ -71,8 +75,10 @@ assert lo <= truth <= hi, f"key {key}: certified [{lo}, {hi}] misses acked truth
 print(f"key {key}: truth {truth} in certified [{lo}, {hi}]")' "$resp" "$truth"
 }
 
+WAL_FLAGS=(-checkpoint "$WORK/ckpt.bin" -wal-dir "$WORK/wal" -wal-fsync batch)
+
 echo "== start with empty WAL"
-start_server
+start_server "${WAL_FLAGS[@]}"
 
 echo "== ingest 400x key 101, checkpoint, ingest 300x key 202 + 150x key 101"
 ingest 101 400
@@ -86,7 +92,7 @@ wait "$PID" 2>/dev/null || true
 PID=""
 
 echo "== restart on the same -wal-dir and -checkpoint"
-start_server
+start_server "${WAL_FLAGS[@]}"
 
 assert_contains 101 550
 assert_contains 202 300
@@ -102,7 +108,7 @@ echo "== /metrics exposition after recovery"
 # The Prometheus plane must tell the same recovery story the JSON status
 # does: the restarted process replayed the WAL tail past the checkpoint cut
 # (300x key 202 + 150x key 101 = 2 records), and the wal_* families are
-# present alongside the queryd_* and ingest_* ones.
+# present alongside the queryd_* ones.
 curl -fsS "$BASE/metrics" | python3 -c 'import sys
 series = {}
 for line in sys.stdin:
@@ -116,11 +122,30 @@ for required in (
     "wal_appended_records_total",
     "wal_segments",
     "queryd_cache_misses_total",
-    "ingest_accepted_items_total",
+    "queryd_backend_updates_total",
 ):
     assert required in series, f"/metrics missing {required}"
 replayed = int(series["wal_replayed_records_total"])
 assert replayed == 2, f"wal_replayed_records_total {replayed}, want 2 (the post-checkpoint tail)"
 print("metrics:", " ".join(f"{k}={series[k]}" for k in ("wal_replayed_records_total", "wal_appended_records_total", "wal_segments")))'
+
+echo "== SIGTERM leg: -checkpoint without a WAL"
+kill -9 "$PID"
+wait "$PID" 2>/dev/null || true
+PID=""
+TERM_FLAGS=(-checkpoint "$WORK/term.ckpt")
+start_server "${TERM_FLAGS[@]}"
+ingest 303 250
+ingest 404 120
+echo "== SIGTERM pid $PID"
+kill -TERM "$PID"
+wait "$PID" 2>/dev/null || true
+PID=""
+[ -f "$WORK/term.ckpt" ] || { echo "SIGTERM left no final checkpoint; log follows" >&2; cat "$WORK/server.log" >&2; exit 1; }
+
+echo "== restart on the same -checkpoint"
+start_server "${TERM_FLAGS[@]}"
+assert_contains 303 250
+assert_contains 404 120
 
 echo "recovery smoke: OK"
