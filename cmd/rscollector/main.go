@@ -16,17 +16,21 @@
 // sealed epochs; agents may then issue sliding-window queries
 // (rsagent -window).
 //
+// Each agent batch is applied in the connection handler that decoded it,
+// so a query on the same connection covers every batch sent before it.
+//
 // The collector prints periodic ingest statistics to stdout; stop it with
-// SIGINT. Agents may query through their own connections (rsagent -query),
-// and -http additionally serves the rsserve HTTP/JSON query API (cached
+// SIGINT or SIGTERM (in-flight HTTP requests get a bounded grace period).
+// Agents may query through their own connections (rsagent -query), and
+// -http additionally serves the rsserve HTTP/JSON query API (cached
 // point/window/top-k queries) off the same collector. -metrics-addr serves
-// GET /metrics (Prometheus text exposition over the collector, its ingest
-// pipeline, and the WAL when attached); -pprof-addr serves net/http/pprof.
-// Both are off unless set and live on their own listeners, away from the
-// agent protocol port.
+// GET /metrics (Prometheus text exposition over the collector and the WAL
+// when attached); -pprof-addr serves net/http/pprof. Both are off unless
+// set and live on their own listeners, away from the agent protocol port.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -34,9 +38,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
-	"repro/internal/ingest"
 	"repro/internal/netsum"
 	"repro/internal/queryd"
 	"repro/internal/sketch"
@@ -44,6 +48,28 @@ import (
 	"repro/internal/telemetry/telhttp"
 	"repro/internal/wal"
 )
+
+// HTTP server limits, matching rsserve: readHeaderTimeout bounds a slow
+// client's request head (the Slowloris defence), idleTimeout reaps parked
+// keep-alive connections, and shutdownGrace bounds how long a signal waits
+// for in-flight -http requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 10 * time.Second
+)
+
+// serveHTTP serves h on addr in the background with the limits above,
+// exiting the process if the listener fails.
+func serveHTTP(addr, what string, h http.Handler) *http.Server {
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	go func() {
+		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			log.Fatalf("rscollector: %s: %v", what, err)
+		}
+	}()
+	return srv
+}
 
 func main() {
 	var (
@@ -57,9 +83,6 @@ func main() {
 		window      = flag.Int("window", 0, "sealed epochs retained per agent in -epoch mode (0 = default)")
 		noMerge     = flag.Bool("no-merge", false, "disable the merged global view (estimate-sum only)")
 		httpAdr     = flag.String("http", "", "also serve HTTP/JSON queries on this address (rsserve endpoints)")
-		ingWorkers  = flag.Int("ingest-workers", 0, "ingest pipeline workers (0 = default)")
-		ingQueue    = flag.Int("ingest-queue", 0, "per-worker ingest queue depth in batches (0 = default)")
-		ingPolicy   = flag.String("ingest-policy", "block", "backpressure when ingest queues fill: block or drop")
 		walDir      = flag.String("wal-dir", "", "write-ahead-log directory: acked agent batches survive a crash and replay on restart (cumulative mode)")
 		walFsync    = flag.String("wal-fsync", "batch", "WAL durability: batch (fsync every append), a group-commit interval like 5ms, or off")
 		walSegSize  = flag.Int64("wal-segment-size", wal.DefaultSegmentBytes, "WAL segment rotation threshold (bytes)")
@@ -68,17 +91,10 @@ func main() {
 	)
 	flag.Parse()
 
-	policy, err := ingest.ParsePolicy(*ingPolicy)
-	if err != nil {
-		log.Fatalf("rscollector: %v", err)
-	}
 	var wlog *wal.Log
 	if *walDir != "" {
 		if *ep > 0 {
 			log.Fatal("rscollector: -wal-dir is cumulative-mode only (replaying a log into an epoch ring would resurrect expired traffic)")
-		}
-		if policy == ingest.Drop {
-			log.Fatal("rscollector: -wal-dir requires -ingest-policy block (drop could refuse a durable batch live, then resurrect it on replay)")
 		}
 		fp, err := wal.ParseFsync(*walFsync)
 		if err != nil {
@@ -99,7 +115,6 @@ func main() {
 		Epoch:             *ep,
 		WindowEpochs:      *window,
 		DisableMergedView: *noMerge,
-		Ingest:            ingest.Tuning{Workers: *ingWorkers, Queue: *ingQueue, Policy: policy},
 		WAL:               wlog,
 		Logf:              log.Printf,
 	})
@@ -123,50 +138,46 @@ func main() {
 		c.RegisterMetrics(reg)
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", telhttp.Handler(reg))
-		go func() {
-			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
-				log.Fatalf("rscollector: metrics: %v", err)
-			}
-		}()
+		serveHTTP(*metricsAddr, "metrics", mux)
 		fmt.Printf("metrics on http://%s/metrics\n", *metricsAddr)
 	}
 	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, telhttp.PprofHandler()); err != nil {
-				log.Fatalf("rscollector: pprof: %v", err)
-			}
-		}()
+		serveHTTP(*pprofAddr, "pprof", telhttp.PprofHandler())
 		fmt.Printf("pprof on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
+	var api *http.Server
 	if *httpAdr != "" {
 		qs, err := queryd.New(queryd.CollectorBackend{C: c, Algo: *algo}, queryd.Config{Logf: log.Printf})
 		if err != nil {
 			log.Fatalf("rscollector: %v", err)
 		}
 		defer qs.Close()
-		go func() {
-			if err := (&http.Server{Addr: *httpAdr, Handler: qs.Handler()}).ListenAndServe(); err != nil &&
-				!errors.Is(err, http.ErrServerClosed) {
-				log.Fatalf("rscollector: http: %v", err)
-			}
-		}()
+		api = serveHTTP(*httpAdr, "http", qs.Handler())
 		fmt.Printf("query API on http://%s (/v2/query batches, /v1/point /v1/window /v1/topk /v1/status)\n", *httpAdr)
 	}
 
 	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	ticker := time.NewTicker(*every)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ticker.C:
 			agents, updates, queries := c.Stats()
-			ist := c.IngestStats()
-			fmt.Printf("agents=%d updates=%d queries=%d folds=%d dropped=%d\n",
-				agents, updates, queries, ist.Folds, ist.Dropped)
+			fmt.Printf("agents=%d updates=%d queries=%d\n", agents, updates, queries)
 		case <-stop:
 			fmt.Println("\nshutting down")
+			if api != nil {
+				// Let in-flight query requests finish; a client still busy
+				// after the grace period is cut off.
+				ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+				if err := api.Shutdown(ctx); err != nil {
+					log.Printf("rscollector: http shutdown: %v", err)
+					api.Close()
+				}
+				cancel()
+			}
 			if err := c.Close(); err != nil {
 				log.Printf("rscollector: close: %v", err)
 			}

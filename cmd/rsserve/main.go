@@ -29,13 +29,11 @@
 // -cache-swr serves expired live answers while one background flight
 // refreshes them (stale-while-revalidate).
 //
-// Standalone writes are applied synchronously: an Ack means the batch is
+// Writes are applied synchronously in every mode: an Ack means the batch is
 // in the served sketch (and, with -wal-dir, on disk), so the next query
-// covers it. In collector mode, agent batches flow through the collector's
-// ingest pipeline: -ingest-workers workers land them per agent and fold
-// private deltas into the merged view; -ingest-policy picks what a full
-// -ingest-queue does (block agents, or drop and count it). Those three
-// flags are collector-only.
+// covers it. In collector mode the connection handler applies each agent
+// batch to that agent's sketch and the merged view before reading the
+// next frame.
 //
 // SIGINT and SIGTERM shut down gracefully: in-flight requests finish (for
 // a bounded time), then the final checkpoint is written.
@@ -64,7 +62,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/ingest"
 	"repro/internal/netsum"
 	"repro/internal/query"
 	"repro/internal/queryd"
@@ -91,10 +88,6 @@ type serveFlags struct {
 	cacheSWR   time.Duration
 	ckpt       string
 	ckptEvery  time.Duration
-	ingWorkers int
-	ingQueue   int
-	ingPolicy  string
-	ingestSet  bool // any -ingest-* flag given explicitly
 	walDir     string
 	walFsync   string
 	walSegSize int64
@@ -130,11 +123,7 @@ var (
 	errCheckpointEveryNoPath = errors.New("rsserve: -checkpoint-every needs -checkpoint (an interval with nowhere to write)")
 	errShardsWithCollector   = errors.New("rsserve: -shards is standalone-only (collector agents shard by construction, one sketch per agent)")
 	errNegativeShards        = errors.New("rsserve: -shards must be ≥ 0")
-	errIngestNeedsCollector  = errors.New("rsserve: -ingest-workers/-ingest-queue/-ingest-policy are collector-only (standalone ingest is synchronous: an ack means applied)")
-	errNegativeIngestWorkers = errors.New("rsserve: -ingest-workers must be ≥ 0 (0 = default)")
-	errBadIngestQueue        = errors.New("rsserve: -ingest-queue must be ≥ 0 (0 = default)")
 	errWALWithEpoch          = errors.New("rsserve: -wal-dir is cumulative-mode only (replaying a log into an epoch ring would resurrect expired traffic)")
-	errWALWithDrop           = errors.New("rsserve: -wal-dir requires -ingest-policy block (drop could refuse a durable batch live, then resurrect it on replay)")
 	errBadWALSegmentSize     = errors.New("rsserve: -wal-segment-size must be ≥ 4096 bytes")
 	errRouterNeedsPeers      = errors.New("rsserve: -cluster-router needs -peers (a router with no replicas routes nowhere)")
 	errSelfNeedsPeers        = errors.New("rsserve: -self needs -peers (the membership the self URL is a member of)")
@@ -174,12 +163,6 @@ func (f serveFlags) validate() error {
 		return errNegativeShards
 	case f.shards > 0 && f.collector != "":
 		return errShardsWithCollector
-	case f.ingestSet && f.collector == "":
-		return errIngestNeedsCollector
-	case f.ingWorkers < 0:
-		return errNegativeIngestWorkers
-	case f.ingQueue < 0:
-		return errBadIngestQueue
 	case f.walDir != "" && f.epoch > 0:
 		return errWALWithEpoch
 	case f.walDir != "" && f.walSegSize < 4096:
@@ -213,14 +196,7 @@ func (f serveFlags) validate() error {
 	if _, err := rcache.ParsePolicy(f.cachePol); err != nil {
 		return fmt.Errorf("%w (got %q)", errBadCachePolicy, f.cachePol)
 	}
-	policy, err := ingest.ParsePolicy(f.ingPolicy)
-	if err != nil {
-		return fmt.Errorf("rsserve: %w", err)
-	}
 	if f.walDir != "" {
-		if policy == ingest.Drop {
-			return errWALWithDrop
-		}
 		if _, err := wal.ParseFsync(f.walFsync); err != nil {
 			return fmt.Errorf("rsserve: -wal-fsync: %w", err)
 		}
@@ -264,9 +240,6 @@ func main() {
 		maxBatch   = flag.Int("max-batch", query.MaxBatchKeys, "largest /v2/query key batch this server accepts")
 		ckpt       = flag.String("checkpoint", "", "checkpoint file path (warm-restarts from it when present)")
 		ckptEvery  = flag.Duration("checkpoint-every", 0, "periodic checkpoint interval (0 = only on demand and shutdown)")
-		ingWorkers = flag.Int("ingest-workers", ingest.DefaultWorkers, "collector mode: ingest pipeline workers (0 = default)")
-		ingQueue   = flag.Int("ingest-queue", ingest.DefaultQueue, "collector mode: per-worker ingest queue depth (batches)")
-		ingPolicy  = flag.String("ingest-policy", "block", "collector mode: backpressure when ingest queues fill: block or drop")
 		walDir     = flag.String("wal-dir", "", "write-ahead-log directory: acked writes survive a crash and replay on restart (cumulative mode)")
 		walFsync   = flag.String("wal-fsync", "batch", "WAL durability: batch (fsync every append), a group-commit interval like 5ms, or off")
 		walSegSize = flag.Int64("wal-segment-size", wal.DefaultSegmentBytes, "WAL segment rotation threshold (bytes)")
@@ -279,13 +252,6 @@ func main() {
 		vnodes     = flag.Int("vnodes", 0, "virtual nodes per replica on the consistent-hash ring (0 = default)")
 	)
 	flag.Parse()
-	ingestSet := false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "ingest-workers", "ingest-queue", "ingest-policy":
-			ingestSet = true
-		}
-	})
 
 	if err := (serveFlags{
 		window:     *window,
@@ -300,10 +266,6 @@ func main() {
 		cacheSWR:   *cacheSWR,
 		ckpt:       *ckpt,
 		ckptEvery:  *ckptEvery,
-		ingWorkers: *ingWorkers,
-		ingQueue:   *ingQueue,
-		ingPolicy:  *ingPolicy,
-		ingestSet:  ingestSet,
 		walDir:     *walDir,
 		walFsync:   *walFsync,
 		walSegSize: *walSegSize,
@@ -375,8 +337,6 @@ func main() {
 		// sketch actually built.
 		spec.Emergency = true
 		cfg.Spec = spec
-		policy, _ := ingest.ParsePolicy(*ingPolicy) // validated above
-		tuning := ingest.Tuning{Workers: *ingWorkers, Queue: *ingQueue, Policy: policy}
 		// NewCollector replays the WAL tail past the checkpoint's cut
 		// before accepting connections, so replayed and live batches never
 		// interleave.
@@ -386,7 +346,6 @@ func main() {
 			Epoch:             *ep,
 			WindowEpochs:      *window,
 			DisableMergedView: *noMerge,
-			Ingest:            tuning,
 			WAL:               wlog,
 			WALStartLSN:       ckptLSN,
 			Logf:              log.Printf,

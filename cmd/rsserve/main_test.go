@@ -41,11 +41,8 @@ func TestValidateFlags(t *testing.T) {
 	}
 	collector := ok
 	collector.collector = "127.0.0.1:7777"
-	collector.ingestSet = true
-	collector.ingWorkers = 4
-	collector.ingPolicy = "drop"
 	if err := collector.validate(); err != nil {
-		t.Fatalf("collector ingest flags rejected: %v", err)
+		t.Fatalf("collector flags rejected: %v", err)
 	}
 	router := ok
 	router.peers = "http://a:1,http://b:2,http://c:3"
@@ -72,9 +69,6 @@ func TestValidateFlags(t *testing.T) {
 		{"interval without path", func(f *serveFlags) { f.ckptEvery = time.Minute }, errCheckpointEveryNoPath},
 		{"negative shards", func(f *serveFlags) { f.shards = -2 }, errNegativeShards},
 		{"shards with collector", func(f *serveFlags) { f.shards = 4; f.collector = "127.0.0.1:7777" }, errShardsWithCollector},
-		{"ingest flags without collector", func(f *serveFlags) { f.ingestSet = true }, errIngestNeedsCollector},
-		{"negative ingest workers", func(f *serveFlags) { f.ingWorkers = -1 }, errNegativeIngestWorkers},
-		{"negative ingest queue", func(f *serveFlags) { f.ingQueue = -1 }, errBadIngestQueue},
 		{"router without peers", func(f *serveFlags) { f.router = true }, errRouterNeedsPeers},
 		{"self without peers", func(f *serveFlags) { f.self = "http://a:1" }, errSelfNeedsPeers},
 		{"router with self", func(f *serveFlags) {

@@ -23,6 +23,12 @@ import (
 //   - The early query-stop heuristics are disabled (see stopAt), trading a
 //     few extra layer reads per query for soundness.
 //
+// Inserts into a sketch after it has been a merge target are NOT
+// certified: once memory pressure drives the emergency layer, keys can
+// land outside their interval. Merge into sketches that then only take
+// further merges and queries (a checkpoint, a replica's merged view), and
+// keep live insert targets merge-free.
+//
 // The argument is read, never written; the receiver must not be inserted
 // into concurrently.
 func (s *Sketch) Merge(other sketch.Sketch) error {

@@ -53,13 +53,9 @@ type CollectorConfig struct {
 	// cumulative mode, forcing the estimate-sum query path even for
 	// Mergeable variants (benchmark/ablation control).
 	DisableMergedView bool
-	// Ingest tunes the collector's shared write pipeline (workers, queue
-	// depth, backpressure policy, flush thresholds). Zero fields take the
-	// ingest package defaults.
-	Ingest ingest.Tuning
 	// WAL, when non-nil, makes ingest durable: every decoded wire batch is
-	// appended (with its agent attribution) before entering the pipeline,
-	// and NewCollector replays records past WALStartLSN — the restored
+	// appended (with its agent attribution) before it is applied, and
+	// NewCollector replays records past WALStartLSN — the restored
 	// checkpoint's cut — before accepting connections. Cumulative mode only:
 	// replaying old records into epoch rings would resurrect expired traffic
 	// into the live window.
@@ -95,36 +91,33 @@ type Collector struct {
 	entry sketch.Entry
 	ln    net.Listener
 
-	// mu guards the agents map and the baseline pointer; per-agent sketch
-	// access takes the agent's own lock.
+	// mu guards the agents map, the open connections, and the baseline
+	// pointer; per-agent sketch access takes the agent's own lock.
 	mu     sync.Mutex
 	agents map[uint64]*agentState
+	// conns are the open agent connections, which Close closes so that
+	// handlers blocked on an idle agent's next frame return.
+	conns map[net.Conn]struct{}
 
 	// baseline is pre-restart state restored from a checkpoint (cumulative
 	// mode only). It is read-only after RestoreBaseline publishes it, so
-	// queries read it lock-free; its certified interval is summed into the
-	// estimate-sum composition exactly like another agent's.
+	// queries read it lock-free; its certified interval is summed into both
+	// the estimate-sum composition and the merged-view operand, exactly
+	// like another agent's.
 	baseline sketch.ErrorBounded
 
-	// global is the incrementally merged all-agents sketch (cumulative mode
-	// with a Mergeable variant). Pipeline workers fold their private deltas
-	// into it under globalMu, which is held only for those per-flush merges
-	// and for merged-view queries — never per frame, never for per-agent
-	// ingest.
+	// global is the all-agents merged view (cumulative mode with a
+	// Mergeable variant): every wire batch is inserted into it, under
+	// globalMu, right after its agent's own sketch. It only ever takes
+	// inserts — never a Merge, since a sketch that takes inserts after a
+	// merge is not certified — which is why the baseline stays a separate
+	// operand instead of being folded in.
 	globalMu sync.Mutex
 	global   sketch.ErrorBounded
 
-	// pipe is the collector-wide ingest plane: decoded wire batches are
-	// submitted (Source = agent ID) instead of applied under locks in the
-	// connection handler. Workers land each batch in its agent's own state
-	// (attribution, in per-agent submission order) and accumulate the
-	// merged view's deltas. Query paths Drain it first, so answers cover
-	// everything producers were acked for.
-	pipe *ingest.Pipeline
-
 	// walMu orders WAL appends against snapshot cuts: connection handlers
-	// hold it shared around each (append, submit) pair, SnapshotGlobal holds
-	// it exclusive around (drain, serialize, capture LastLSN). walCut is the
+	// hold it shared around each (append, apply) pair, SnapshotGlobal holds
+	// it exclusive around (serialize, capture LastLSN). walCut is the
 	// last cut — the point the log may be truncated through once that
 	// checkpoint file is durable (WALCheckpointCommitted).
 	walMu  sync.RWMutex
@@ -168,9 +161,9 @@ func NewCollector(addr string, cfg CollectorConfig) (*Collector, error) {
 		entry:  entry,
 		ln:     ln,
 		agents: make(map[uint64]*agentState),
+		conns:  make(map[net.Conn]struct{}),
 		closed: make(chan struct{}),
 	}
-	opts := ingest.Options{Tuning: cfg.Ingest, Apply: c.applyBatch, Logf: cfg.Logf}
 	if cfg.Epoch <= 0 && !cfg.DisableMergedView && entry.Caps.Has(sketch.CapMergeable) {
 		built, err := c.buildErrorBounded()
 		if err != nil {
@@ -178,41 +171,17 @@ func NewCollector(addr string, cfg CollectorConfig) (*Collector, error) {
 			return nil, err
 		}
 		c.global = built
-		// Worker deltas are same-Spec siblings of the global view; the view
-		// itself proves the build is Mergeable, so NewDelta cannot fail.
-		if _, ok := built.(sketch.Mergeable); !ok {
-			ln.Close()
-			return nil, fmt.Errorf("netsum: %q registered Mergeable but built %T without Merge", cfg.Algo, built)
-		}
-		// buildErrorBounded was just proven to succeed (c.global); a nil
-		// delta would otherwise silently freeze the merged view, so the
-		// pipeline treats it as a failure.
-		opts.NewDelta = func() sketch.Sketch { b, _ := c.buildErrorBounded(); return b }
-		opts.Fold = c.foldGlobal
 	}
-	c.pipe = ingest.New(opts)
 	if cfg.WAL != nil {
 		if cfg.Epoch > 0 {
-			c.pipe.Close()
 			ln.Close()
 			return nil, errors.New("netsum: WAL-backed ingest is cumulative-mode only (epoch-ring state ages out instead)")
 		}
-		if cfg.Ingest.Policy == ingest.Drop {
-			// Drop would let a momentarily full queue refuse a batch that is
-			// already durable on disk — live state says dropped, the log
-			// resurrects it on replay, and the same race makes replay itself
-			// fail on a healthy log. Block is the only policy whose acks the
-			// WAL can honestly extend across a crash.
-			c.pipe.Close()
-			ln.Close()
-			return nil, errors.New("netsum: WAL-backed ingest requires the block policy (drop could refuse a durable batch live, then resurrect it on replay)")
-		}
-		// Replay the un-checkpointed tail through the same pipeline live
+		// Replay the un-checkpointed tail through the same apply path live
 		// traffic takes, before the listener accepts anything — so replayed
 		// and live batches never interleave, and per-agent attribution
 		// (Source, stored per record) lands exactly as it did pre-crash.
 		if err := c.replayWAL(cfg.WAL, cfg.WALStartLSN); err != nil {
-			c.pipe.Close()
 			ln.Close()
 			return nil, err
 		}
@@ -222,82 +191,64 @@ func NewCollector(addr string, cfg CollectorConfig) (*Collector, error) {
 	return c, nil
 }
 
-// replayWAL feeds every record past the checkpoint cut (and the log's own
-// watermark) back through the ingest pipeline and drains it to visibility.
+// replayWAL applies every record past the checkpoint cut (and the log's
+// own watermark) through the same path live wire batches take.
 func (c *Collector) replayWAL(l *wal.Log, startLSN uint64) error {
 	after := max(startLSN, l.Watermark())
 	if _, err := l.Replay(after, func(b ingest.Batch, lsn uint64) error {
-		// The pipeline is always Block here (NewCollector refuses WAL+Drop),
-		// so Submit never refuses for a full queue — Dropped > 0 means the
-		// pipeline itself failed or closed, which recovery must not paper
-		// over.
-		ack := c.pipe.Submit(b)
-		if ack.Dropped > 0 {
-			return fmt.Errorf("netsum: replaying wal record %d: %d items refused (pipeline failed)", lsn, ack.Dropped)
-		}
-		c.updates.Add(uint64(ack.Accepted))
 		st, err := c.stateFor(b.Source - 1)
 		if err != nil {
 			return fmt.Errorf("netsum: replaying wal record %d: %w", lsn, err)
 		}
-		st.wire.Add(uint64(ack.Accepted))
+		c.apply(st, b.Items)
 		return nil
 	}); err != nil {
-		return fmt.Errorf("netsum: wal replay: %w", err)
-	}
-	if err := c.drainIngest(); err != nil {
 		return fmt.Errorf("netsum: wal replay: %w", err)
 	}
 	c.walCut.Store(after)
 	return nil
 }
 
-// applyBatch is the pipeline's attribution hook: land the batch in its
-// source agent's own state under that agent's own lock. The wire handler
-// submits with Source = agentID+1, so even agent 0 gets a sticky non-zero
-// source: batches from one agent are applied by one worker in submission
-// order, and per-agent attribution and ordering are exactly what the
-// synchronous path produced.
-func (c *Collector) applyBatch(b ingest.Batch) error {
-	st, err := c.stateFor(b.Source - 1)
-	if err != nil {
-		return err
+// ingestBatch makes one decoded wire batch durable (with a WAL) and then
+// applies it. The shared side of walMu spans both steps, so a snapshot cut
+// never lands between a record's append and its apply: records at or below
+// the cut are in the snapshot, records above it replay on restart. The v1
+// wire has no per-batch refusal frame, so a failed append fails the
+// connection — the agent's resend path handles it — rather than accepting
+// a write that would vanish on restart.
+func (c *Collector) ingestBatch(st *agentState, b ingest.Batch) error {
+	if c.cfg.WAL == nil {
+		c.apply(st, b.Items)
+		return nil
 	}
+	c.walMu.RLock()
+	defer c.walMu.RUnlock()
+	if _, err := c.cfg.WAL.Append(b); err != nil {
+		return fmt.Errorf("netsum: wal append: %w", err)
+	}
+	c.apply(st, b.Items)
+	return nil
+}
+
+// apply lands a batch in its agent's own state under that agent's lock,
+// then in the merged view under globalMu. It returns once both hold the
+// batch, so every frame a connection handler has processed is visible to
+// the queries that follow it.
+func (c *Collector) apply(st *agentState, items []Update) {
 	if st.ring != nil {
-		st.ring.InsertBatch(b.Items)
+		st.ring.InsertBatch(items)
 	} else {
 		st.mu.Lock()
-		sketch.InsertBatch(st.sk, b.Items)
+		sketch.InsertBatch(st.sk, items)
 		st.mu.Unlock()
 	}
-	return nil
-}
-
-// foldGlobal merges one worker's delta into the merged global view — the
-// only write to shared collector state, one short globalMu hold per flush
-// instead of one per wire frame.
-func (c *Collector) foldGlobal(delta sketch.Sketch) error {
-	c.globalMu.Lock()
-	err := sketch.Merge(c.global, delta)
-	c.globalMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("netsum: merging delta into global view: %w", err)
+	if c.global != nil {
+		c.globalMu.Lock()
+		sketch.InsertBatch(c.global, items)
+		c.globalMu.Unlock()
 	}
-	return nil
-}
-
-// drainIngest is the read-your-writes barrier query and snapshot paths take
-// before touching agent or global state: everything producers were acked
-// for is applied and folded when it returns. A pipeline error wraps
-// ingest.ErrLostWrites (a failed fold discards its delta) — callers with an
-// error channel must refuse to answer rather than serve a certified
-// interval that provably misses traffic.
-func (c *Collector) drainIngest() error {
-	if err := c.pipe.Drain(); err != nil {
-		c.logf("netsum: %v", err)
-		return fmt.Errorf("netsum: %w", err)
-	}
-	return nil
+	c.updates.Add(uint64(len(items)))
+	st.wire.Add(uint64(len(items)))
 }
 
 // buildErrorBounded constructs one configured sketch, verifying the
@@ -338,24 +289,22 @@ func (c *Collector) Addr() string { return c.ln.Addr().String() }
 // rather than estimate-summing alone.
 func (c *Collector) MergeBased() bool { return c.global != nil }
 
-// Close stops accepting, waits for connection handlers to drain, then
-// closes the ingest pipeline (folding everything accepted). Idempotent:
-// later calls return the first call's result.
+// Close stops accepting, closes every agent connection, and waits for the
+// connection handlers to finish; a batch frame already read is applied
+// first. Idempotent: later calls return the first call's result.
 func (c *Collector) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.closed)
-		err := c.ln.Close()
-		c.wg.Wait()
-		if perr := c.pipe.Close(); perr != nil && err == nil {
-			err = perr
+		c.closeErr = c.ln.Close()
+		c.mu.Lock()
+		for conn := range c.conns {
+			conn.Close()
 		}
-		c.closeErr = err
+		c.mu.Unlock()
+		c.wg.Wait()
 	})
 	return c.closeErr
 }
-
-// IngestStats snapshots the shared write pipeline's counters.
-func (c *Collector) IngestStats() ingest.Stats { return c.pipe.Stats() }
 
 func (c *Collector) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
@@ -376,10 +325,27 @@ func (c *Collector) acceptLoop() {
 				return
 			}
 		}
+		// Register under mu after checking closed: Close closes c.closed
+		// before it walks conns, so every connection is either closed by
+		// Close or refused here.
+		c.mu.Lock()
+		select {
+		case <-c.closed:
+			c.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
+		c.conns[conn] = struct{}{}
+		c.mu.Unlock()
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
-			if err := c.handle(conn); err != nil && !errors.Is(err, io.EOF) {
+			err := c.handle(conn)
+			c.mu.Lock()
+			delete(c.conns, conn)
+			c.mu.Unlock()
+			if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				c.logf("netsum: connection %s: %v", conn.RemoteAddr(), err)
 			}
 		}()
@@ -410,10 +376,10 @@ func (c *Collector) stateFor(agentID uint64) (*agentState, error) {
 	return st, nil
 }
 
-// handle runs one agent connection to completion. Batch frames feed the
-// shared ingest pipeline directly — the handler decodes and submits, taking
-// no collector lock, so a slow sketch never stalls the wire (Block policy
-// pushes back through the bounded queue instead; Drop sheds, counted).
+// handle runs one agent connection to completion. Batch frames are applied
+// synchronously, in order, before the next frame is read: a slow sketch
+// pushes back on its agent through TCP flow control, and a query frame
+// always sees every batch its connection sent before it.
 func (c *Collector) handle(conn net.Conn) error {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -447,13 +413,13 @@ func (c *Collector) handle(conn net.Conn) error {
 				c.logf("netsum: agent %d speaks protocol v%d, newer than ours (v%d)",
 					id, v, ProtocolVersion)
 			}
-			// The pipeline source is agentID+1 (0 is the round-robin
-			// sentinel), so the one wrapping ID cannot be attributed.
+			// WAL records attribute a batch as Source = agentID+1 (0 is
+			// unattributed), so the one wrapping ID cannot be attributed.
 			if id == math.MaxUint64 {
 				return fmt.Errorf("netsum: agent id %d is reserved", id)
 			}
 			// Pre-create the agent's state so a misconfigured registry fails
-			// the connection at hello, not asynchronously in a worker.
+			// the connection at hello, not at its first batch.
 			st, err := c.stateFor(id)
 			if err != nil {
 				return err
@@ -468,45 +434,14 @@ func (c *Collector) handle(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			// Source is agentID+1: sticky per-agent routing even for agent
-			// 0. Counting accepted updates here (not in the worker) keeps
-			// the Stats counter exact for every frame already handled on
-			// this connection, without Stats needing a pipeline drain.
-			//
-			// With a WAL, the batch hits disk (per the fsync policy) before
-			// the pipeline sees it. The v1 wire has no per-batch refusal
-			// frame, so a failed append drops the connection — the agent's
-			// resend path handles it — rather than silently accepting a
-			// write that would vanish on restart.
-			batch := ingest.Batch{Items: ups, Source: agentID + 1}
-			if c.cfg.WAL != nil {
-				c.walMu.RLock()
-				_, werr := c.cfg.WAL.Append(batch)
-				if werr != nil {
-					c.walMu.RUnlock()
-					return fmt.Errorf("netsum: wal append: %w", werr)
-				}
-				ack := c.pipe.Submit(batch)
-				c.walMu.RUnlock()
-				c.updates.Add(uint64(ack.Accepted))
-				agentSt.wire.Add(uint64(ack.Accepted))
-				continue
+			if err := c.ingestBatch(agentSt, ingest.Batch{Items: ups, Source: agentID + 1}); err != nil {
+				return err
 			}
-			ack := c.pipe.Submit(batch)
-			c.updates.Add(uint64(ack.Accepted))
-			agentSt.wire.Add(uint64(ack.Accepted))
 
 		case msgQuery:
 			u := &uvarintReader{buf: payload}
 			key, err := u.next()
 			if err != nil {
-				return err
-			}
-			// The v1 frame has no refusal encoding, so a pipeline failure
-			// (acked items lost — the bounds cannot cover them) drops the
-			// connection instead of serving a false certificate, exactly
-			// as the old synchronous path did on ingest errors.
-			if err := c.drainIngest(); err != nil {
 				return err
 			}
 			est, mpe := c.QueryWithError(key)
@@ -523,9 +458,6 @@ func (c *Collector) handle(conn net.Conn) error {
 			n, err := u.next()
 			if err != nil {
 				return err
-			}
-			if err := c.drainIngest(); err != nil {
-				return err // no v1 refusal encoding; see msgQuery
 			}
 			est, mpe, covered := c.QueryWindowWithError(key, int(n))
 			if err := reply(msgWindowResp, appendUvarints(nil, key, uint64(covered), est, mpe)); err != nil {
@@ -597,24 +529,22 @@ func (c *Collector) CanSnapshotGlobal() error {
 	return nil
 }
 
-// SnapshotGlobal checkpoints the merged global view — the collector's full
-// ingested history, including any restored baseline — so a restarted
-// collector can warm-start from it via RestoreBaseline. The view is
-// serialized into memory under globalMu and written to w after releasing
-// it, so global queries and per-batch merge folds stall for the
-// serialization only, never for the destination's I/O. With a WAL, the
-// (drain, serialize, capture LastLSN) cut runs under the exclusive side of
-// walMu so no (append, submit) pair straddles it: records at or below the
+// SnapshotGlobal checkpoints the collector's full ingested history — the
+// merged view plus any restored baseline — so a restarted collector can
+// warm-start from it via RestoreBaseline. The state is serialized into
+// memory and written to w afterwards, so global queries and ingest stall
+// for the serialization only, never for the destination's I/O. With a WAL,
+// the (serialize, capture LastLSN) cut runs under the exclusive side of
+// walMu so no (append, apply) pair straddles it: records at or below the
 // cut are in the snapshot, records above it replay on restart.
 func (c *Collector) SnapshotGlobal(w io.Writer) error {
 	if err := c.CanSnapshotGlobal(); err != nil {
 		return err
 	}
-	sn := c.global.(sketch.Snapshotter)
 	if c.cfg.WAL != nil {
 		c.walMu.Lock()
 	}
-	buf, err := c.snapshotCut(sn)
+	buf, err := c.snapshotCut()
 	if c.cfg.WAL != nil {
 		if err == nil {
 			c.walCut.Store(c.cfg.WAL.LastLSN())
@@ -628,17 +558,34 @@ func (c *Collector) SnapshotGlobal(w io.Writer) error {
 	return err
 }
 
-// snapshotCut drains pending ingest and serializes the merged view into a
-// buffer; the caller handles WAL cut ordering around it.
-func (c *Collector) snapshotCut(sn sketch.Snapshotter) (*bytes.Buffer, error) {
-	if err := c.drainIngest(); err != nil {
+// snapshotCut serializes the collector's history into a buffer; the caller
+// handles WAL cut ordering around it. Without a baseline that is the merged
+// view itself. With one, the baseline and then the merged view are merged
+// into a fresh sketch that is serialized and dropped: the live view keeps
+// taking inserts, so it must never be a merge target.
+func (c *Collector) snapshotCut() (*bytes.Buffer, error) {
+	var buf bytes.Buffer
+	b := c.baselineSketch()
+	if b == nil {
+		c.globalMu.Lock()
+		err := c.global.(sketch.Snapshotter).Snapshot(&buf)
+		c.globalMu.Unlock()
+		return &buf, err
+	}
+	cut, err := c.buildErrorBounded()
+	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
+	if err := sketch.Merge(cut, b); err != nil {
+		return nil, fmt.Errorf("netsum: merging baseline into checkpoint: %w", err)
+	}
 	c.globalMu.Lock()
-	err := sn.Snapshot(&buf)
+	err = sketch.Merge(cut, c.global)
 	c.globalMu.Unlock()
 	if err != nil {
+		return nil, fmt.Errorf("netsum: merging live view into checkpoint: %w", err)
+	}
+	if err := cut.(sketch.Snapshotter).Snapshot(&buf); err != nil {
 		return nil, err
 	}
 	return &buf, nil
@@ -669,12 +616,13 @@ func (c *Collector) WALStats() *wal.Stats {
 
 // RestoreBaseline warm-starts the collector from a SnapshotGlobal
 // checkpoint: the restored sketch becomes a read-only baseline whose
-// certified interval is added to every global answer, and is folded into
-// the merged view so merge-based queries cover pre-restart traffic too.
-// Both compositions stay certified: the baseline certifies pre-restart
-// truth, the per-agent sketches certify post-restart truth, and global
-// truth is their sum. Call it once, before agents reconnect; cumulative
-// mode only (epoch rings are not checkpointed — their windows age out).
+// certified interval is added to both operands of every global answer
+// (the estimate-sum and the merged view). Both stay certified: the
+// baseline certifies pre-restart truth, the per-agent sketches and the
+// merged view certify post-restart truth, and global truth is their sum.
+// Call it once; it may follow WAL replay and live ingest, since nothing is
+// merged into live state. Cumulative mode only (epoch rings are not
+// checkpointed — their windows age out).
 func (c *Collector) RestoreBaseline(r io.Reader) error {
 	if c.cfg.Epoch > 0 {
 		return errors.New("netsum: warm restart is cumulative-mode only (epoch-ring state ages out instead)")
@@ -691,26 +639,12 @@ func (c *Collector) RestoreBaseline(r io.Reader) error {
 	if err := sn.Restore(r); err != nil {
 		return fmt.Errorf("netsum: restoring checkpoint: %w", err)
 	}
-	// Claim the baseline slot before touching the merged view, so a second
-	// restore cannot double-fold the checkpoint into it.
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.baseline != nil {
-		c.mu.Unlock()
 		return errors.New("netsum: baseline already restored")
 	}
 	c.baseline = built
-	c.mu.Unlock()
-	if c.global != nil {
-		c.globalMu.Lock()
-		err := sketch.Merge(c.global, built)
-		c.globalMu.Unlock()
-		if err != nil {
-			c.mu.Lock()
-			c.baseline = nil
-			c.mu.Unlock()
-			return fmt.Errorf("netsum: folding checkpoint into merged view: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -723,9 +657,6 @@ func (c *Collector) RestoreBaseline(r io.Reader) error {
 // sliding window. A thin shim over the batch core (queryGlobalBatch), so
 // single-key and batch answers cannot diverge.
 func (c *Collector) QueryWithError(key uint64) (est, mpe uint64) {
-	// No error channel on this v1 shim: a pipeline failure is logged by
-	// drainIngest and keeps surfacing on every Execute/snapshot path.
-	_ = c.drainIngest()
 	c.queries.Add(1)
 	keys := [1]uint64{key}
 	var e, m [1]uint64
@@ -740,7 +671,6 @@ func (c *Collector) QueryWithError(key uint64) (est, mpe uint64) {
 // mode the answer degenerates to the all-time global interval). A thin
 // shim over the batch core.
 func (c *Collector) QueryWindowWithError(key uint64, n int) (est, mpe uint64, covered int) {
-	_ = c.drainIngest() // v1 shim, no error channel; see QueryWithError
 	c.queries.Add(1)
 	keys := [1]uint64{key}
 	var e, m [1]uint64
@@ -772,10 +702,8 @@ func intersectIntervals(aEst, aMpe, bEst, bMpe uint64) (est, mpe uint64) {
 }
 
 // Stats reports the number of connected-or-seen agents and the totals of
-// updates accepted and queries served. Updates are counted at wire
-// acceptance (submission order per connection makes the count exact for
-// every frame already handled), so a stats poll never forces the pipeline
-// to fold partial deltas — observability stays off the write path.
+// updates applied and queries served. Updates are counted as each batch
+// is applied, so the count is exact for every frame already handled.
 func (c *Collector) Stats() (agents int, updates, queries uint64) {
 	c.mu.Lock()
 	agents = len(c.agents)
@@ -784,12 +712,11 @@ func (c *Collector) Stats() (agents int, updates, queries uint64) {
 }
 
 // RegisterMetrics exposes the collector's instruments on reg under the
-// netsum_* namespace, plus its ingest pipeline's (and, when configured,
-// its WAL's). Per-agent wire counters are emitted by a scrape-time
-// collector — the agent set is dynamic, so the label set cannot be
-// registered up front. The generation gauge reads each ring's published
-// generation WITHOUT poking (epoch.PeekGeneration semantics): a scrape
-// never drives rotation or drains the pipeline.
+// netsum_* namespace, plus (when configured) its WAL's. Per-agent wire
+// counters are emitted by a scrape-time collector — the agent set is
+// dynamic, so the label set cannot be registered up front. The generation
+// gauge reads each ring's published generation WITHOUT poking
+// (epoch.PeekGeneration semantics): a scrape never drives rotation.
 func (c *Collector) RegisterMetrics(reg *telemetry.Registry) {
 	reg.RegisterCounter("netsum_updates_total", "Updates accepted at wire or replay.", nil, &c.updates)
 	reg.RegisterCounter("netsum_queries_total", "Global queries served.", nil, &c.queries)
@@ -824,7 +751,6 @@ func (c *Collector) RegisterMetrics(reg *telemetry.Registry) {
 			emit(telemetry.Labels{"agent": strconv.FormatUint(id, 10)}, float64(states[i].wire.Value()))
 		}
 	})
-	c.pipe.RegisterMetrics(reg)
 	if c.cfg.WAL != nil {
 		c.cfg.WAL.RegisterMetrics(reg)
 	}
@@ -852,9 +778,11 @@ func (c *Collector) Generation() uint64 {
 }
 
 // TrackedGlobal enumerates the heavy-hitter keys of the merged global view
-// with their certified intervals. It requires merge-based mode: per-agent
-// tracked sets cannot be combined soundly without merging (the same key may
-// be tracked at several agents with incomparable adoption errors).
+// and of the warm-restart baseline, summing a key's estimates when both
+// track it. It requires merge-based mode: per-agent tracked sets cannot be
+// combined soundly without merging (the same key may be tracked at several
+// agents with incomparable adoption errors). The estimates only rank
+// candidates; Execute re-queries each key's certified interval.
 func (c *Collector) TrackedGlobal() ([]sketch.KV, error) {
 	if c.global == nil {
 		return nil, errors.New("netsum: heavy-hitter enumeration needs the merged global view (cumulative mode, Mergeable variant, merging enabled)")
@@ -864,12 +792,25 @@ func (c *Collector) TrackedGlobal() ([]sketch.KV, error) {
 		return nil, fmt.Errorf("netsum: %q does not report tracked keys (need one of: %s)",
 			c.cfg.Algo, capabilityNames(sketch.CapErrorBounded|sketch.CapHeavyHitter))
 	}
-	if err := c.drainIngest(); err != nil {
-		return nil, err
-	}
 	c.globalMu.Lock()
-	defer c.globalMu.Unlock()
-	return hh.Tracked(), nil
+	kvs := hh.Tracked()
+	c.globalMu.Unlock()
+	b := c.baselineSketch()
+	if b == nil {
+		return kvs, nil
+	}
+	at := make(map[uint64]int, len(kvs))
+	for i, kv := range kvs {
+		at[kv.Key] = i
+	}
+	for _, kv := range b.(sketch.HeavyHitterReporter).Tracked() {
+		if i, ok := at[kv.Key]; ok {
+			kvs[i].Est += kv.Est
+		} else {
+			kvs = append(kvs, kv)
+		}
+	}
+	return kvs, nil
 }
 
 // ErrUnknownAgent marks a window query scoped to an agent the collector
@@ -890,9 +831,6 @@ func (c *Collector) QueryAgentWindow(agentID, key uint64, n int) (est, mpe uint6
 	}
 	if n < 1 {
 		return 0, 0, 0, fmt.Errorf("netsum: window of %d epochs cannot cover anything", n)
-	}
-	if err := c.drainIngest(); err != nil {
-		return 0, 0, 0, err
 	}
 	c.mu.Lock()
 	st, ok := c.agents[agentID]

@@ -32,15 +32,9 @@ func (c *Collector) Execute(req query.Request) (query.Answer, error) {
 	if err := req.Validate(); err != nil {
 		return query.Answer{}, err
 	}
-	// Read-your-writes: fold everything acked on the wire before answering,
-	// so the certified interval covers it (pipelined ingest would otherwise
-	// let the merged view lag the per-agent sketches, and the intersection
-	// of the two would not be certified for the same history). A pipeline
-	// failure means acked items were lost: refuse rather than certify an
-	// interval that misses them.
-	if err := c.drainIngest(); err != nil {
-		return query.Answer{}, err
-	}
+	// Read-your-writes needs no barrier: a connection handler applies each
+	// batch to its agent's sketch and the merged view before it reads the
+	// next frame, so everything acked on the wire is already visible here.
 	c.queries.Add(1)
 	ans := query.Answer{Generation: c.Generation(), Source: "collector", Certified: true}
 
@@ -119,14 +113,13 @@ func (c *Collector) executeAgentWindow(req query.Request, ans query.Answer) (que
 }
 
 // estimateSumBatch is the composition path of the batch core: for every
-// key, the sum of all agents' certified estimates (plus the warm-restart
-// baseline's) with MPEs summed — certified, since a key's global sum equals
-// the sum of its per-agent (and pre-restart) sums. Each agent contributes
-// under exactly one lock acquisition (or one sealed-set snapshot in epoch
-// mode, spanning n epochs; n ≤ 0 means each agent's full retention), so a
-// batch costs one lock round-trip per agent instead of one per key per
-// agent. covered reports the widest epoch span any agent answered (0 in
-// cumulative mode). est and mpe are overwritten.
+// key, the sum of all agents' certified estimates with MPEs summed —
+// certified, since a key's global sum equals the sum of its per-agent
+// sums. Each agent contributes under exactly one lock acquisition (or one
+// sealed-set snapshot in epoch mode, spanning n epochs; n ≤ 0 means each
+// agent's full retention), so a batch costs one lock round-trip per agent
+// instead of one per key per agent. covered reports the widest epoch span
+// any agent answered (0 in cumulative mode). est and mpe are overwritten.
 func (c *Collector) estimateSumBatch(keys []uint64, n int, est, mpe []uint64) (covered int) {
 	for i := range keys {
 		est[i] = 0
@@ -139,10 +132,6 @@ func (c *Collector) estimateSumBatch(keys []uint64, n int, est, mpe []uint64) (c
 			est[i] += tmpE[i]
 			mpe[i] += tmpM[i]
 		}
-	}
-	if b := c.baselineSketch(); b != nil {
-		sketch.QueryBatch(b, keys, tmpE, tmpM)
-		add()
 	}
 	for _, st := range c.snapshotAgents() {
 		if st.ring != nil {
@@ -171,8 +160,21 @@ func (c *Collector) estimateSumBatch(keys []uint64, n int, est, mpe []uint64) (c
 // queryGlobalBatch is the shared global-query body of the batch core:
 // estimate-sum over every agent, intersected per key with the merged view
 // (under one globalMu hold for the whole batch) when one is maintained.
+// The warm-restart baseline certifies pre-restart truth, so its interval
+// is added to both operands — it is kept out of the live merged view,
+// which only ever takes inserts.
 func (c *Collector) queryGlobalBatch(keys []uint64, n int, est, mpe []uint64) (covered int) {
 	covered = c.estimateSumBatch(keys, n, est, mpe)
+	var be, bm []uint64
+	if b := c.baselineSketch(); b != nil {
+		be = make([]uint64, len(keys))
+		bm = make([]uint64, len(keys))
+		sketch.QueryBatch(b, keys, be, bm)
+		for i := range keys {
+			est[i] += be[i]
+			mpe[i] += bm[i]
+		}
+	}
 	if c.global == nil {
 		return covered
 	}
@@ -181,6 +183,10 @@ func (c *Collector) queryGlobalBatch(keys []uint64, n int, est, mpe []uint64) (c
 	c.globalMu.Lock()
 	sketch.QueryBatch(c.global, keys, ge, gm)
 	c.globalMu.Unlock()
+	for i := range be {
+		ge[i] += be[i]
+		gm[i] += bm[i]
+	}
 	for i := range keys {
 		est[i], mpe[i] = intersectIntervals(est[i], mpe[i], ge[i], gm[i])
 	}

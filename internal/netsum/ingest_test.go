@@ -4,23 +4,19 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/ingest"
 	"repro/internal/sketch"
 	"repro/internal/telemetry"
 )
 
-// TestCollectorPipelineStats drives the collector's shared ingest plane
-// over the wire and checks its accounting: every pushed update is accepted
-// and applied, the merged view is built by per-flush folds (not per-frame
-// merges), and queries drain the pipeline so acked traffic is always
-// visible with certified bounds.
+// TestCollectorPipelineStats drives the collector's write path over the
+// wire and checks its accounting: every pushed update is counted, and a
+// query on the same connection sees every batch sent before it with
+// certified bounds.
 func TestCollectorPipelineStats(t *testing.T) {
 	c, err := NewCollector("127.0.0.1:0", CollectorConfig{
 		Spec: sketch.Spec{MemoryBytes: 1 << 18, Lambda: 25, Seed: 1},
-		// Tiny flush threshold: several wire frames per fold would hide a
-		// per-frame merge; several folds per run proves flushing works.
-		Ingest: ingest.Tuning{Workers: 2, FlushItems: 256},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,9 +43,8 @@ func TestCollectorPipelineStats(t *testing.T) {
 		if err := a.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		// Query through the same connection: the collector must drain the
-		// pipeline before answering, so the interval covers every update
-		// this agent was acked for (frames are processed in order).
+		// Query through the same connection: frames are applied in order,
+		// so the interval covers every update this agent sent.
 		est, mpe, err := a.Query(42)
 		if err != nil {
 			t.Fatal(err)
@@ -66,25 +61,11 @@ func TestCollectorPipelineStats(t *testing.T) {
 	if updates != agents*perAgent {
 		t.Fatalf("collector counted %d updates, want %d", updates, agents*perAgent)
 	}
-	ist := c.IngestStats()
-	if ist.Accepted != agents*perAgent || ist.Applied != agents*perAgent || ist.Dropped != 0 {
-		t.Fatalf("ingest stats %+v: want %d accepted+applied, 0 dropped", ist, agents*perAgent)
-	}
-	if ist.Folds < 2 {
-		t.Fatalf("ingest stats %+v: expected several per-flush folds", ist)
-	}
-	if ist.LastError != "" {
-		t.Fatalf("pipeline recorded error: %s", ist.LastError)
-	}
-	if ist.FoldedItems != ist.Applied {
-		t.Fatalf("folded %d items of %d applied: merged view is missing traffic", ist.FoldedItems, ist.Applied)
-	}
 }
 
 // TestAgentZeroAttributed pins the Source mapping: agent ID 0 is a valid
-// wire identity (sources are agentID+1, so it still gets sticky per-agent
-// routing and exact attribution), while the one unmappable ID is refused
-// at hello.
+// wire identity (WAL sources are agentID+1, so it is still attributed
+// exactly), while the one unmappable ID is refused at hello.
 func TestAgentZeroAttributed(t *testing.T) {
 	c, err := NewCollector("127.0.0.1:0", CollectorConfig{
 		Spec: sketch.Spec{MemoryBytes: 1 << 18, Lambda: 25, Seed: 1},
@@ -127,12 +108,11 @@ func TestAgentZeroAttributed(t *testing.T) {
 
 // TestCollectorRegisterMetrics drives two agents over the wire and checks
 // the Prometheus surface: collector-wide counters match Stats, per-agent
-// wire counters split the total exactly, and the pipeline's ingest_*
-// families ride along.
+// wire counters split the total exactly, and no ingest_* family appears
+// (the collector has no write pipeline to describe).
 func TestCollectorRegisterMetrics(t *testing.T) {
 	c, err := NewCollector("127.0.0.1:0", CollectorConfig{
-		Spec:   sketch.Spec{MemoryBytes: 1 << 18, Lambda: 25, Seed: 1},
-		Ingest: ingest.Tuning{Workers: 2, FlushItems: 256},
+		Spec: sketch.Spec{MemoryBytes: 1 << 18, Lambda: 25, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,10 +153,41 @@ func TestCollectorRegisterMetrics(t *testing.T) {
 		"netsum_agents 2",
 		`netsum_agent_updates_total{agent="3"} 100`,
 		`netsum_agent_updates_total{agent="7"} 250`,
-		fmt.Sprintf("ingest_accepted_items_total %d", updates),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "ingest_") {
+		t.Errorf("exposition has ingest_* series:\n%s", out)
+	}
+}
+
+// TestCloseWithIdleAgentConnected pins that Close does not wait for agents
+// to hang up: a connected agent that sends nothing must not hold shutdown.
+func TestCloseWithIdleAgentConnected(t *testing.T) {
+	c, err := NewCollector("127.0.0.1:0", CollectorConfig{
+		Spec: sketch.Spec{MemoryBytes: 1 << 16, Lambda: 25, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Dial(c.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if _, _, _, err := a.Stats(); err != nil { // the handler is running
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked on an idle agent connection")
 	}
 }

@@ -210,11 +210,8 @@ func feedAgents(t *testing.T, c *Collector, s *stream.Stream, agents int) {
 		}(id)
 	}
 	wg.Wait()
-	// The stats round trips above guarantee every frame was ACCEPTED into
-	// the ingest pipeline; drain it so helpers that read collector state
-	// directly (estimateSumBatch) see it fully applied. Query paths drain
-	// for themselves.
-	c.drainIngest()
+	// The stats round trips above guarantee every frame was applied, so
+	// helpers that read collector state directly (estimateSumBatch) see it.
 }
 
 // estimateSum reads one key's estimate-sum composition through the batch
@@ -335,9 +332,8 @@ func TestWindowQueryOverNetwork(t *testing.T) {
 		if err := a.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		// A query drains the collector's ingest pipeline, so the batch is
-		// applied in this epoch before the clock moves on. (A stats round
-		// trip is no such barrier: it counts updates at wire submission.)
+		// The query's reply means the batch before it was applied in this
+		// epoch before the clock moves on.
 		if _, _, err := a.Query(7); err != nil {
 			t.Fatal(err)
 		}

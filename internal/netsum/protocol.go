@@ -8,7 +8,7 @@
 // of a key equals the sum of per-agent sums, so summing estimates and MPEs
 // across agents preserves the guarantee: truth ∈ [Σest − Σmpe, Σest]. When
 // the configured variant is sketch.Mergeable, the collector additionally
-// folds every batch into one global merged sketch and answers with the
+// inserts every batch into one global merged sketch and answers with the
 // INTERSECTION of the merged view's interval and the estimate-sum interval
 // — certified because both contain the truth, and never looser than either.
 //
@@ -147,6 +147,9 @@ func (u *uvarintReader) next() (uint64, error) {
 	return v, nil
 }
 
+// remaining reports the payload bytes not yet consumed.
+func (u *uvarintReader) remaining() int { return len(u.buf) - u.off }
+
 // encodeRequest packs a typed query request into a msgExecQuery payload.
 func encodeRequest(req query.Request) []byte {
 	payload := appendUvarints(nil, uint64(req.Kind), req.Agent,
@@ -184,6 +187,11 @@ func decodeRequest(payload []byte) (query.Request, error) {
 	if count > query.MaxBatchKeys {
 		return req, fmt.Errorf("netsum: exec request with %d keys exceeds batch limit %d",
 			count, query.MaxBatchKeys)
+	}
+	// Each key is at least one uvarint byte: bound the count by the bytes
+	// left before allocating for it.
+	if count > uint64(u.remaining()) {
+		return req, fmt.Errorf("netsum: exec request claims %d keys in %d bytes", count, u.remaining())
 	}
 	if count > 0 {
 		req.Keys = make([]uint64, count)
@@ -248,6 +256,10 @@ func decodeAnswer(payload []byte) (query.Answer, error) {
 		return ans, fmt.Errorf("netsum: exec answer with %d estimates exceeds batch limit %d",
 			count, query.MaxBatchKeys)
 	}
+	// Each estimate is three uvarints (key, est, lower), at least 3 bytes.
+	if count > uint64(u.remaining()/3) {
+		return ans, fmt.Errorf("netsum: exec answer claims %d estimates in %d bytes", count, u.remaining())
+	}
 	ans.PerKey = make([]query.Estimate, count)
 	for i := range ans.PerKey {
 		e := &ans.PerKey[i]
@@ -285,8 +297,10 @@ func decodeBatch(payload []byte) ([]Update, error) {
 	if err != nil {
 		return nil, err
 	}
-	if count > maxFrame/2 {
-		return nil, fmt.Errorf("netsum: implausible batch count %d", count)
+	// Each update is two uvarints, at least 2 bytes: bound the count by the
+	// bytes left, not the frame limit, before allocating for it.
+	if count > uint64(u.remaining()/2) {
+		return nil, fmt.Errorf("netsum: batch claims %d updates in %d bytes", count, u.remaining())
 	}
 	ups := make([]Update, count)
 	for i := range ups {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ingest"
 	"repro/internal/sketch"
 	"repro/internal/wal"
 )
@@ -35,22 +34,6 @@ func newWALCollector(t *testing.T, l *wal.Log, startLSN uint64) *Collector {
 	return c
 }
 
-func TestCollectorRefusesWALWithDropPolicy(t *testing.T) {
-	// Drop could refuse a batch the log already made durable — live state
-	// would say dropped while replay resurrects it — so the combination is
-	// rejected at construction, like WAL + epoch mode.
-	l := openTestWAL(t, t.TempDir())
-	_, err := NewCollector("127.0.0.1:0", CollectorConfig{
-		Spec:   sketch.Spec{Lambda: 25, MemoryBytes: 256 << 10, Seed: 1},
-		WAL:    l,
-		Ingest: ingest.Tuning{Policy: ingest.Drop},
-		Logf:   t.Logf,
-	})
-	if err == nil {
-		t.Fatal("NewCollector accepted WAL + drop policy")
-	}
-}
-
 // record streams n updates of key from one agent and forces them through a
 // query round-trip, so they are both WAL-appended and applied when it
 // returns.
@@ -73,8 +56,8 @@ func record(t *testing.T, c *Collector, agentID, key uint64, n int) {
 
 func TestCollectorWALReplayRestoresCounts(t *testing.T) {
 	// Wire batches survive a collector restart: the log stored each decoded
-	// batch with its agent attribution, and replay routes them through the
-	// same pipeline live traffic takes.
+	// batch with its agent attribution, and replay applies them through the
+	// same path live traffic takes.
 	dir := t.TempDir()
 	l1 := openTestWAL(t, dir)
 	c1 := newWALCollector(t, l1, 0)

@@ -36,9 +36,6 @@ type Status struct {
 	Agents     int    `json:"agents"`
 	Updates    uint64 `json:"updates"`
 	Queries    uint64 `json:"queries"`
-	// Ingest reports the collector's write-pipeline counters (absent for
-	// standalone backends, which apply writes synchronously).
-	Ingest *ingest.Stats `json:"ingest,omitempty"`
 	// WAL reports write-ahead-log counters when durable ingest is enabled
 	// (absent otherwise).
 	WAL *wal.Stats `json:"wal,omitempty"`
@@ -122,13 +119,12 @@ func (b CollectorBackend) CutLSN() uint64 { return b.C.WALCutLSN() }
 func (b CollectorBackend) CheckpointCommitted() error { return b.C.WALCheckpointCommitted() }
 
 // RegisterMetrics delegates to the collector, which registers its own
-// netsum_* series plus its ingest pipeline's and (when durable) its WAL's.
+// netsum_* series plus (when durable) its WAL's.
 func (b CollectorBackend) RegisterMetrics(reg *telemetry.Registry) { b.C.RegisterMetrics(reg) }
 
-// Status reports collector identity and ingest counters.
+// Status reports collector identity and counters.
 func (b CollectorBackend) Status() Status {
 	agents, updates, queries := b.C.Stats()
-	ist := b.C.IngestStats()
 	return Status{
 		Mode:       "collector",
 		Algo:       b.Algo,
@@ -137,7 +133,6 @@ func (b CollectorBackend) Status() Status {
 		Agents:     agents,
 		Updates:    updates,
 		Queries:    queries,
-		Ingest:     &ist,
 		WAL:        b.C.WALStats(),
 	}
 }

@@ -41,8 +41,8 @@ var (
 // synced, and its directory entry synced, so a crash mid-checkpoint leaves
 // the previous checkpoint intact.
 func WriteCheckpoint(path, algo string, spec sketch.Spec, snapshot func(io.Writer) error, lsn func() uint64) (err error) {
-	// Buffer the snapshot first: it performs the consistency cut (drain +
-	// serialize under lock), and the cut LSN is only correct once that cut
+	// Buffer the snapshot first: it performs the consistency cut (serialize
+	// with ingest excluded), and the cut LSN is only correct once that cut
 	// has happened.
 	var body bytes.Buffer
 	if err := snapshot(&body); err != nil {

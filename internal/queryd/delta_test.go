@@ -9,27 +9,10 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"repro/internal/ingest"
 	"repro/internal/query"
 	"repro/internal/queryd"
 	"repro/internal/sketch"
-	"repro/internal/stream"
 )
-
-// collectorLostWrites builds the error a collector's query path returns
-// after its ingest pipeline lost acked items: a real pipeline whose apply
-// fails, drained, and wrapped the way netsum wraps it.
-func collectorLostWrites(t *testing.T) error {
-	t.Helper()
-	p := ingest.New(ingest.Options{Apply: func(ingest.Batch) error { return errors.New("agent sketch gone") }})
-	defer p.Close()
-	p.Submit(ingest.Batch{Items: []stream.Item{{Key: 1, Value: 1}}, Source: 1})
-	err := p.Drain()
-	if err == nil {
-		t.Fatal("drain of a failed pipeline returned nil")
-	}
-	return fmt.Errorf("netsum: %w", err)
-}
 
 // failingBackend answers every Execute with a fixed error, to pin the
 // error-envelope status mapping.
@@ -57,8 +40,7 @@ func execStatus(t *testing.T, base string) (int, queryd.ErrorBody) {
 
 // TestExecErrorEnvelopeDistinguishes503From500 pins the contract the
 // cluster router routes on: a transient refusal (query.ErrUnavailable) is
-// 503 "retry elsewhere", a backend that lost acked writes is a hard 500,
-// and neither collapses into the generic 501.
+// 503 "retry elsewhere" and does not collapse into the generic 501.
 func TestExecErrorEnvelopeDistinguishes503From500(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -67,8 +49,6 @@ func TestExecErrorEnvelopeDistinguishes503From500(t *testing.T) {
 		wantCode   string
 	}{
 		{"transient", fmt.Errorf("merged view: %w", query.ErrUnavailable), http.StatusServiceUnavailable, "unavailable"},
-		{"lost-writes", fmt.Errorf("%w: fold failed", ingest.ErrLostWrites), http.StatusInternalServerError, "internal"},
-		{"collector-lost-writes", collectorLostWrites(t), http.StatusInternalServerError, "internal"},
 		{"unsupported", errors.New("no such capability"), http.StatusNotImplemented, "unsupported"},
 	}
 	for _, tc := range cases {

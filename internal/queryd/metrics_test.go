@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ingest"
 	"repro/internal/queryd"
 	"repro/internal/sketch"
 	"repro/internal/telemetry"
@@ -59,8 +58,7 @@ func sampleValue(t *testing.T, out, series string) uint64 {
 // standalone server covers every plane it has: queryd request histograms,
 // cache counters, and the ring's seal series — and that /v1/status reports
 // the same numbers, since both read the same registered instruments.
-// Standalone ingest is synchronous, so neither surface carries the
-// collector's ingest pipeline: no ingest_* series, no status ingest block.
+// Ingest is synchronous, so there are no ingest_* series.
 func TestMetricsCoverageEpochalPipelined(t *testing.T) {
 	clk := &manualTestClock{now: time.Unix(1000, 0)}
 	b, err := queryd.NewSketchBackend("Ours", sketch.Spec{MemoryBytes: 256 << 10, Lambda: 25, Seed: 1},
@@ -104,7 +102,7 @@ func TestMetricsCoverageEpochalPipelined(t *testing.T) {
 		}
 	}
 	if strings.Contains(out, "\ningest_") {
-		t.Errorf("standalone scrape has ingest pipeline series:\n%s", out)
+		t.Errorf("standalone scrape has ingest_* series:\n%s", out)
 	}
 
 	// Satellite contract: /v1/status derives from the same instruments the
@@ -116,9 +114,6 @@ func TestMetricsCoverageEpochalPipelined(t *testing.T) {
 	}
 	if got := sampleValue(t, out, "queryd_cache_misses_total"); got != st.Cache.Misses {
 		t.Errorf("scrape misses %d != status misses %d", got, st.Cache.Misses)
-	}
-	if st.Backend.Ingest != nil {
-		t.Errorf("standalone status has an ingest block: %+v", st.Backend.Ingest)
 	}
 	if got := sampleValue(t, out, "ring_generation"); got != st.Backend.Generation {
 		t.Errorf("scrape generation %d != status generation %d", got, st.Backend.Generation)
@@ -201,10 +196,6 @@ func TestStatusJSONGolden(t *testing.T) {
 		Backend: queryd.Status{
 			Mode: "standalone", Algo: "CM", Epochal: true, Generation: 7,
 			Agents: 2, Updates: 10, Queries: 3,
-			Ingest: &ingest.Stats{
-				Workers: 2, Policy: "block", Submitted: 10, Accepted: 10,
-				Dropped: 0, Applied: 10, Folds: 1, FoldedItems: 10,
-			},
 			WAL: &wal.Stats{
 				Policy: "batch", Segments: 1, Bytes: 64, LastLSN: 5, Watermark: 2,
 				Appended: 5, Fsyncs: 5, LastFsync: "2026-01-02T03:04:05Z",
@@ -224,7 +215,6 @@ func TestStatusJSONGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	const golden = `{"backend":{"mode":"standalone","algo":"CM","epochal":true,"generation":7,"agents":2,"updates":10,"queries":3,` +
-		`"ingest":{"workers":2,"policy":"block","submitted":10,"accepted":10,"dropped":0,"applied":10,"folds":1,"folded_items":10},` +
 		`"wal":{"policy":"batch","segments":1,"bytes":64,"last_lsn":5,"watermark":2,"appended_records":5,"fsyncs":5,` +
 		`"last_fsync":"2026-01-02T03:04:05Z","replayed_records":4,"torn_tail_truncations":1,"last_error":"boom"}},` +
 		`"cache":{"entries":1,"hits":2,"misses":3,"coalesced":4,"evictions":5,"invalidations":6,"generation":7,"hit_rate":0.4},` +

@@ -97,7 +97,7 @@ type Server struct {
 	mux   *http.ServeMux
 
 	// reg is the telemetry plane: every subsystem the server fronts
-	// (backend, pipeline, WAL, ring, cache) registers the SAME instruments
+	// (backend, WAL, ring, cache) registers the SAME instruments
 	// its JSON status reads, and GET /metrics serves them in Prometheus
 	// text format.
 	reg       *telemetry.Registry
@@ -825,11 +825,10 @@ func (s *Server) serveCached(w http.ResponseWriter, key string, compute func(gen
 // execError maps a backend refusal onto the JSON error envelope: requests
 // the query plane rejects are the client's fault, an unknown agent is a
 // missing resource, a transient refusal is 503 (retry elsewhere — a cluster
-// router's cue to try another replica), a backend that lost acked writes is
-// a hard 500 no retry will fix, and everything else is a capability the
-// backend does not have. Keeping 503 and 500 distinct is load-bearing: a
-// router that treated them alike would either hammer a broken node or fail
-// over away from a healthy-but-warming one.
+// router's cue to try another replica), and everything else is a
+// capability the backend does not have. Keeping 503 distinct from the hard
+// codes is load-bearing: a router that treated them alike would either
+// hammer a broken node or fail over away from a healthy-but-warming one.
 func (s *Server) execError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, netsum.ErrUnknownAgent):
@@ -840,8 +839,6 @@ func (s *Server) execError(w http.ResponseWriter, err error) {
 		httpError(w, http.StatusBadRequest, "bad_request", err)
 	case errors.Is(err, query.ErrUnavailable):
 		httpError(w, http.StatusServiceUnavailable, "unavailable", err)
-	case errors.Is(err, ingest.ErrLostWrites):
-		httpError(w, http.StatusInternalServerError, "internal", err)
 	default:
 		httpError(w, http.StatusNotImplemented, "unsupported", err)
 	}

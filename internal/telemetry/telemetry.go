@@ -9,8 +9,8 @@
 // must never cost the hot path an allocation or a lock.
 //
 //   - Counter and Gauge are single atomic words whose zero value is usable,
-//     so subsystems embed them directly in their hot structs (the ingest
-//     pipeline's accepted/dropped counters, the WAL's fsync counter) and
+//     so subsystems embed them directly in their hot structs (the
+//     collector's update counters, the WAL's fsync counter) and
 //     register the SAME instrument for exposition — no double counting, no
 //     sampling thread.
 //   - Histogram records into fixed buckets with one atomic add per bucket

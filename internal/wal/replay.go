@@ -70,7 +70,7 @@ func scanSegment(path string, wantFirst uint64) (records int, validBytes, tornBy
 
 // Replay feeds every record with LSN strictly greater than after to fn, in
 // append order — the recovery path: fn lands each batch through the same
-// ingest path live traffic takes (a collector then drains its pipeline).
+// ingest path live traffic takes.
 // Call it after Open and before the first Append; appends are excluded for
 // the duration.
 // A CRC failure inside a sealed segment (mid-log corruption, not a torn

@@ -19,7 +19,7 @@
 //
 // Recovery is restore-newest-checkpoint + Replay of every record past the
 // checkpoint's watermark through the same ingest path live traffic takes
-// (a standalone backend's synchronous apply, a collector's pipeline), so
+// (the synchronous apply, standalone or in a collector), so
 // recovered state passes the exact certified-bounds contract live state
 // does. A successful checkpoint advances the watermark
 // (TruncateThrough) and deletes dead segments. Torn tails — a crash mid
